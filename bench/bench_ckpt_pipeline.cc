@@ -1,8 +1,8 @@
-// Macro-benchmark for the asynchronous checkpoint pipeline: per-checkpoint
-// processing pause (synchronous serialize-inline vs asynchronous capture-
-// only), end-to-end capture-to-stored latency, and the block-codec wire
-// compression ratio, on the windowed word-count workload across state
-// sizes. Results go to stdout and BENCH_ckpt_pipeline.json.
+// Macro-benchmark for synchronous vs asynchronous checkpoints: per-
+// checkpoint processing pause (serialize cost charged to the pause vs
+// capture only), end-to-end capture-to-stored latency, and the mean shipped
+// checkpoint size, on the windowed word-count workload across state sizes.
+// Results go to stdout and BENCH_ckpt_pipeline.json.
 //
 // Usage: bench_ckpt_pipeline [output.json]
 
@@ -25,8 +25,7 @@ struct Row {
   double e2e_p50_ms = 0;
   double e2e_p99_ms = 0;
   uint64_t checkpoints = 0;
-  uint64_t raw_bytes = 0;
-  uint64_t wire_bytes = 0;
+  double ckpt_kib = 0;  // mean shipped checkpoint size
 };
 
 Row RunOne(size_t vocabulary, bool async) {
@@ -55,8 +54,10 @@ Row RunOne(size_t vocabulary, bool async) {
   row.e2e_p50_ms = m.ckpt_e2e_ms.Median();
   row.e2e_p99_ms = m.ckpt_e2e_ms.Percentile(99);
   row.checkpoints = m.checkpoints_taken;
-  row.raw_bytes = m.ckpt_raw_bytes;
-  row.wire_bytes = m.ckpt_wire_bytes;
+  row.ckpt_kib = m.checkpoints_taken > 0
+                     ? static_cast<double>(m.checkpoint_bytes) / 1024.0 /
+                           static_cast<double>(m.checkpoints_taken)
+                     : 0.0;
   return row;
 }
 
@@ -64,20 +65,15 @@ void WriteJson(FILE* f, const std::vector<Row>& rows) {
   std::fprintf(f, "{\n  \"bench\": \"ckpt_pipeline\",\n  \"results\": [\n");
   for (size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
-    const double ratio =
-        r.wire_bytes > 0
-            ? static_cast<double>(r.raw_bytes) /
-                  static_cast<double>(r.wire_bytes)
-            : 0.0;
     std::fprintf(f,
                  "    {\"vocabulary\": %zu, \"mode\": \"%s\", "
                  "\"pause_p50_ms\": %.4f, \"pause_p99_ms\": %.4f, "
                  "\"e2e_p50_ms\": %.3f, \"e2e_p99_ms\": %.3f, "
                  "\"checkpoints\": %llu, "
-                 "\"compression_ratio\": %.2f}%s\n",
+                 "\"ckpt_kib\": %.1f}%s\n",
                  r.vocabulary, r.async ? "async" : "sync", r.pause_p50_ms,
                  r.pause_p99_ms, r.e2e_p50_ms, r.e2e_p99_ms,
-                 static_cast<unsigned long long>(r.checkpoints), ratio,
+                 static_cast<unsigned long long>(r.checkpoints), r.ckpt_kib,
                  i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
@@ -91,23 +87,19 @@ int Main(int argc, char** argv) {
     return 1;
   }
   std::printf(
-      "==== Checkpoint pipeline: synchronous inline vs async 3-stage ====\n");
-  std::printf("%-10s %6s %14s %14s %12s %12s %8s\n", "dict", "mode",
+      "==== Checkpoints: synchronous vs asynchronous serialization ====\n");
+  std::printf("%-10s %6s %14s %14s %12s %12s %9s\n", "dict", "mode",
               "pause p50(ms)", "pause p99(ms)", "e2e p50(ms)", "e2e p99(ms)",
-              "wire/raw");
+              "ckpt KiB");
   std::vector<Row> rows;
   for (size_t vocabulary : std::vector<size_t>{1'000, 10'000, 100'000}) {
     Row sync;
     for (bool async : {false, true}) {
       const Row r = RunOne(vocabulary, async);
       if (!async) sync = r;
-      const double ratio =
-          r.wire_bytes > 0 ? static_cast<double>(r.wire_bytes) /
-                                 static_cast<double>(r.raw_bytes)
-                           : 0.0;
-      std::printf("%-10zu %6s %14.4f %14.4f %12.3f %12.3f %8.2f\n",
+      std::printf("%-10zu %6s %14.4f %14.4f %12.3f %12.3f %9.1f\n",
                   vocabulary, r.async ? "async" : "sync", r.pause_p50_ms,
-                  r.pause_p99_ms, r.e2e_p50_ms, r.e2e_p99_ms, ratio);
+                  r.pause_p99_ms, r.e2e_p50_ms, r.e2e_p99_ms, r.ckpt_kib);
       if (async && r.pause_p99_ms > 0) {
         std::printf("%-10s %6s   pause p99 reduction: %.1fx\n", "", "",
                     sync.pause_p99_ms / r.pause_p99_ms);

@@ -8,6 +8,13 @@
 #include "serde/encoder.h"
 
 namespace seep::net {
+namespace {
+
+// The retired whole-checkpoint message type; a peer sending it speaks a
+// protocol this build no longer understands.
+constexpr uint8_t kRetiredCheckpointType = 3;
+
+}  // namespace
 
 std::vector<uint8_t> EncodeMessage(const Message& msg) {
   serde::Encoder enc;
@@ -26,7 +33,8 @@ Result<Message> DecodeMessage(const std::vector<uint8_t>& payload) {
   Message msg;
   SEEP_ASSIGN_OR_RETURN(const uint8_t type, dec.ReadU8());
   if (type < static_cast<uint8_t>(MessageType::kHello) ||
-      type > static_cast<uint8_t>(MessageType::kCheckpointChunk)) {
+      type > static_cast<uint8_t>(MessageType::kCheckpointChunk) ||
+      type == kRetiredCheckpointType) {
     return Status::Corruption("unknown wire message type");
   }
   msg.type = static_cast<MessageType>(type);

@@ -3,58 +3,19 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "serde/block_codec.h"
-#include "serde/decoder.h"
-#include "serde/encoder.h"
-#include "serde/frame.h"
+#include "runtime/ckpt_pipeline.h"
 #include "verify/invariant_auditor.h"
 
 namespace seep::runtime {
-namespace {
-
-/// Serialize + compress + frame, exactly as CkptSerializer::BuildFrame does
-/// for the async pipeline — the synchronous durable paths (sim-mode stores,
-/// post-delta refreshes) must put byte-compatible frames in the log.
-BackupStore::EncodedFrame EncodeCheckpointFrame(
-    const core::StateCheckpoint& ckpt, bool compress) {
-  serde::Encoder enc;
-  ckpt.Encode(&enc);
-  std::vector<uint8_t> payload = std::move(enc).TakeBuffer();
-  BackupStore::EncodedFrame out;
-  out.raw_bytes = payload.size();
-  if (compress) {
-    std::vector<uint8_t> packed = serde::BlockCompress(payload);
-    if (packed.size() < payload.size()) {
-      payload = std::move(packed);
-      out.compressed = true;
-    }
-  }
-  out.frame = serde::FramePayload(payload);
-  return out;
-}
-
-/// Unframe (crc32c) + decompress + decode, exactly as the chunk receive
-/// path does for frames off the wire.
-[[nodiscard]] Result<core::StateCheckpoint> DecodeCheckpointFrame(
-    const std::vector<uint8_t>& frame, uint64_t raw_bytes, bool compressed) {
-  SEEP_ASSIGN_OR_RETURN(std::vector<uint8_t> raw,
-                        serde::UnframePayload(frame));
-  if (compressed) {
-    SEEP_ASSIGN_OR_RETURN(raw, serde::BlockDecompress(raw, raw_bytes));
-  }
-  serde::Decoder dec(raw);
-  return core::StateCheckpoint::Decode(&dec);
-}
-
-}  // namespace
 
 void BackupStore::AttachDurable(store::CheckpointLog* log,
-                                BackupDurability mode, bool compress,
-                                verify::InvariantAuditor* audit) {
+                                BackupDurability mode,
+                                verify::InvariantAuditor* audit,
+                                MetricsRegistry* metrics) {
   log_ = log;
   mode_ = mode;
-  compress_ = compress;
   audit_ = audit;
+  metrics_ = metrics;
   if (audit_ != nullptr) {
     audit_->SetDurableMode(mode_ != BackupDurability::kMemory &&
                            log_ != nullptr);
@@ -62,33 +23,39 @@ void BackupStore::AttachDurable(store::CheckpointLog* log,
 }
 
 [[nodiscard]] Status BackupStore::AppendDurable(
-    InstanceId owner, InstanceId holder,
-    const core::StateCheckpoint& checkpoint, const EncodedFrame* frame) {
+    InstanceId owner, InstanceId holder, core::StateCheckpoint* checkpoint) {
   if (mode_ == BackupDurability::kMemory || log_ == nullptr) {
     return Status::OK();
   }
-  EncodedFrame fresh;
-  if (frame == nullptr) {
-    fresh = EncodeCheckpointFrame(checkpoint, compress_);
-    frame = &fresh;
+  CkptSerializer::Job job;
+  job.owner = owner;
+  job.owner_op = checkpoint->op;
+  job.seq = checkpoint->seq;
+  job.snapshot = std::move(*checkpoint);
+  const SerializedCkptFrame frame =
+      CkptSerializer::BuildFrame(job, /*compress=*/true);
+  *checkpoint = std::move(job.snapshot);
+  if (metrics_ != nullptr) {
+    metrics_->ckpt_raw_bytes += frame.raw_bytes;
+    metrics_->ckpt_wire_bytes += frame.frame.size();
   }
+
   store::RecordMeta meta;
   meta.owner = owner;
-  meta.owner_op = checkpoint.op;
+  meta.owner_op = frame.owner_op;
   meta.holder = holder;
-  meta.seq = checkpoint.seq;
-  meta.raw_bytes = frame->raw_bytes;
-  meta.compressed = frame->compressed;
-  const Status st =
-      log_->Append(meta, frame->frame.data(), frame->frame.size());
+  meta.seq = frame.seq;
+  meta.raw_bytes = frame.raw_bytes;
+  meta.compressed = frame.compressed;
+  const Status st = log_->Append(meta, frame.frame.data(), frame.frame.size());
   if (!st.ok()) {
     SEEP_LOG(kWarn, 0) << "durable append for instance " << owner
-                       << " seq " << checkpoint.seq
+                       << " seq " << frame.seq
                        << " failed: " << st.message();
     return st;
   }
   if (audit_ != nullptr) {
-    audit_->OnDurableAppend(owner, checkpoint.seq);
+    audit_->OnDurableAppend(owner, frame.seq);
     const auto indexed = log_->Find(owner);
     audit_->OnDurableIndexState(owner, indexed.has_value(),
                                 indexed.has_value() ? indexed->seq : 0);
@@ -104,21 +71,10 @@ void BackupStore::AttachDurable(store::CheckpointLog* log,
                                         core::StateCheckpoint checkpoint) {
   // The durable append happens before the in-memory replace: by the time
   // the caller fires trim acks off this store, the record is in the log.
-  const Status durable = AppendDurable(owner, holder, checkpoint, nullptr);
+  const Status durable = AppendDurable(owner, holder, &checkpoint);
   if (mode_ == BackupDurability::kDisk) return durable;  // no memory tier
   entries_[owner] = Entry{holder, std::move(checkpoint), false};
   return Status::OK();  // the memory tier holds it; degradation is logged
-}
-
-[[nodiscard]] Status BackupStore::StoreWithFrame(InstanceId owner,
-                                                 InstanceId holder,
-                                                 core::StateCheckpoint
-                                                     checkpoint,
-                                                 EncodedFrame frame) {
-  const Status durable = AppendDurable(owner, holder, checkpoint, &frame);
-  if (mode_ == BackupDurability::kDisk) return durable;
-  entries_[owner] = Entry{holder, std::move(checkpoint), false};
-  return Status::OK();
 }
 
 [[nodiscard]]
@@ -139,8 +95,8 @@ Result<BackupStore::Entry> BackupStore::Retrieve(InstanceId owner) const {
   }
   SEEP_ASSIGN_OR_RETURN(const std::vector<uint8_t> frame,
                         log_->ReadPayload(owner));
-  auto ckpt = DecodeCheckpointFrame(frame, meta->raw_bytes,
-                                    meta->compressed);
+  auto ckpt = CkptSerializer::DecodeFrame(frame, meta->raw_bytes,
+                                          meta->compressed);
   if (!ckpt.ok()) {
     // The record passed its crc32c at append and at every recovery scan; a
     // decode failure here is index/log divergence, not line noise.
@@ -174,8 +130,7 @@ BackupStore::Entry* BackupStore::Mutable(InstanceId owner) {
   }
   auto it = entries_.find(owner);
   if (it == entries_.end()) return Status::OK();
-  return AppendDurable(owner, it->second.holder, it->second.checkpoint,
-                       nullptr);
+  return AppendDurable(owner, it->second.holder, &it->second.checkpoint);
 }
 
 void BackupStore::Delete(InstanceId owner) {

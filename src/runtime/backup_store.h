@@ -4,11 +4,11 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <vector>
 
 #include "common/ids.h"
 #include "common/result.h"
 #include "core/state.h"
+#include "runtime/metrics.h"
 #include "store/checkpoint_log.h"
 
 namespace seep::verify {
@@ -49,21 +49,13 @@ class BackupStore {
     bool from_disk = false;
   };
 
-  /// A checkpoint already serialized into its wire frame
-  /// ([length | crc32c | payload]), as produced by the checkpoint pipeline.
-  /// The chunk reassembler hands this over so the durable append reuses the
-  /// received bytes instead of re-encoding the decoded checkpoint.
-  struct EncodedFrame {
-    std::vector<uint8_t> frame;
-    uint64_t raw_bytes = 0;  // encoded size before compression
-    bool compressed = false;
-  };
-
-  /// Wires the durable tier. `log` must outlive the store; `audit` may be
-  /// null. `compress` controls encoding on the paths that must serialize
-  /// fresh (sync checkpoints, post-delta refreshes).
+  /// Wires the durable tier. `log` must outlive the store; `audit` and
+  /// `metrics` may be null. Durable records are framed by
+  /// CkptSerializer::BuildFrame, compressed when that makes them smaller;
+  /// `metrics` counts the frame bytes each append produces.
   void AttachDurable(store::CheckpointLog* log, BackupDurability mode,
-                     bool compress, verify::InvariantAuditor* audit);
+                     verify::InvariantAuditor* audit,
+                     MetricsRegistry* metrics);
 
   BackupDurability durability() const { return mode_; }
 
@@ -85,12 +77,6 @@ class BackupStore {
   /// durability (logged + counted by the caller), never the ack.
   [[nodiscard]] Status Store(InstanceId owner, InstanceId holder,
                              core::StateCheckpoint checkpoint);
-
-  /// Store, reusing an already-serialized frame for the durable append
-  /// (the chunked-shipping receive path: no second encode, no second copy).
-  [[nodiscard]] Status StoreWithFrame(InstanceId owner, InstanceId holder,
-                                      core::StateCheckpoint checkpoint,
-                                      EncodedFrame frame);
 
   /// retrieve-backup(backup(o), o). Returns a copy; restore/partition paths
   /// need one anyway. Hot paths that only inspect or mutate the stored
@@ -141,16 +127,18 @@ class BackupStore {
   size_t DropHeldBy(InstanceId holder);
 
  private:
+  /// Frames `*checkpoint` and appends it to the log. The checkpoint is
+  /// moved through the frame codec's job and back, so framing copies
+  /// nothing; on return `*checkpoint` is unchanged.
   [[nodiscard]] Status AppendDurable(InstanceId owner, InstanceId holder,
-                                     const core::StateCheckpoint& checkpoint,
-                                     const EncodedFrame* frame);
+                                     core::StateCheckpoint* checkpoint);
   [[nodiscard]] Result<Entry> RetrieveDurable(InstanceId owner) const;
 
   std::map<InstanceId, Entry> entries_;
   store::CheckpointLog* log_ = nullptr;
   BackupDurability mode_ = BackupDurability::kMemory;
-  bool compress_ = true;
   verify::InvariantAuditor* audit_ = nullptr;
+  MetricsRegistry* metrics_ = nullptr;
 };
 
 }  // namespace seep::runtime

@@ -1,13 +1,22 @@
 #include "runtime/checkpoint_plane.h"
 
+#include <memory>
 #include <utility>
 
 #include "common/sync.h"
-
+#include "runtime/backup_protocol.h"
 #include "runtime/cluster.h"
 #include "runtime/operator_instance.h"
 
 namespace seep::runtime {
+namespace {
+
+// Processing-state KiB the modeled checkpoint CPU costs scale with.
+double StateKib(const core::StateCheckpoint& ckpt) {
+  return static_cast<double>(ckpt.processing.ByteSize() + 64) / 1024.0;
+}
+
+}  // namespace
 
 void CheckpointPlane::StartSchedule() { ScheduleTimer(); }
 
@@ -39,14 +48,13 @@ void CheckpointPlane::Resume() {
   }
 }
 
-CheckpointCapture CheckpointPlane::Capture(bool delta) {
+core::StateCheckpoint CheckpointPlane::Capture(bool delta) {
   return delta ? CaptureDelta() : CaptureFull();
 }
 
-CheckpointCapture CheckpointPlane::CaptureFull() {
+core::StateCheckpoint CheckpointPlane::CaptureFull() {
   core::Operator* op = inst_->operator_impl();
-  CheckpointCapture cap;
-  core::StateCheckpoint& c = cap.ckpt;
+  core::StateCheckpoint c;
   c.op = inst_->op();
   c.instance = inst_->id();
   c.origin = inst_->origin();
@@ -61,25 +69,16 @@ CheckpointCapture CheckpointPlane::CaptureFull() {
     // next incremental checkpoint starts from this base.
     op->ClearStateDelta();
   }
-  // The buffers themselves are not copied here: the capture records their
-  // extents (positions + precomputed counts/bytes), and the tuples are
-  // materialized or encoded by a later pipeline stage.
-  for (const auto& [op_id, tuples] : inst_->buffer_state().buffers()) {
-    BufferExtent extent;
-    extent.from_exclusive = INT64_MIN;
-    extent.back = tuples.empty() ? INT64_MIN : tuples.back().timestamp;
-    extent.tuples = tuples.size();
-    extent.bytes = tuples.ByteSize();
-    cap.extents[op_id] = extent;
+  c.buffer = inst_->buffer_state();
+  for (const auto& [op_id, tuples] : c.buffer.buffers()) {
     shipped_buffer_back_[op_id] =
         tuples.empty() ? inst_->out_clock() : tuples.back().timestamp;
   }
-  return cap;
+  return c;
 }
 
-CheckpointCapture CheckpointPlane::CaptureDelta() {
-  CheckpointCapture cap;
-  core::StateCheckpoint& c = cap.ckpt;
+core::StateCheckpoint CheckpointPlane::CaptureDelta() {
+  core::StateCheckpoint c;
   c.op = inst_->op();
   c.instance = inst_->id();
   c.origin = inst_->origin();
@@ -98,8 +97,7 @@ CheckpointCapture CheckpointPlane::CaptureDelta() {
   c.deleted_keys = std::move(delta.deleted);
   // Buffer delta: the unshipped suffix past the last shipped timestamp,
   // plus the current buffer fronts so the holder can mirror our trims.
-  // Buffers are timestamp-sorted, so the suffix starts at a binary search;
-  // only its sizes are summed here — the tuples are not copied.
+  // Buffers are timestamp-sorted, so the suffix starts at a binary search.
   for (const auto& [op_id, tuples] : inst_->buffer_state().buffers()) {
     const int64_t shipped = [&] {
       auto it = shipped_buffer_back_.find(op_id);
@@ -107,49 +105,49 @@ CheckpointCapture CheckpointPlane::CaptureDelta() {
     }();
     c.buffer_front[op_id] =
         tuples.empty() ? inst_->out_clock() + 1 : tuples.front().timestamp;
-    BufferExtent extent;
-    extent.from_exclusive = shipped;
-    if (!tuples.empty() && tuples.back().timestamp > shipped) {
-      extent.back = tuples.back().timestamp;
-      auto it = tuples.UpperBound(shipped);
-      extent.tuples = static_cast<size_t>(tuples.end() - it);
-      for (; it != tuples.end(); ++it) extent.bytes += it->SerializedSize();
+    for (auto it = tuples.UpperBound(shipped); it != tuples.end(); ++it) {
+      c.buffer.Append(op_id, *it);
     }
-    cap.extents[op_id] = extent;
     shipped_buffer_back_[op_id] =
         tuples.empty() ? inst_->out_clock() : tuples.back().timestamp;
   }
-  return cap;
+  return c;
 }
 
-void CheckpointPlane::ShipAsync(CheckpointCapture cap) {
-  if (!inst_->alive() || inst_->stopped() || suspended_) {
-    // Clean abort: the capture is discarded before serialization. Its
-    // sequence number was consumed, so the holder's stored seq now trails
-    // ckpt_seq_ and CanCheckpointIncrementally forces the next checkpoint
-    // to be a full resync — no torn lineage.
-    ++cluster_->metrics()->async_ckpts_aborted;
-    if (auto* audit = cluster_->audit()) {
-      audit->OnAsyncCheckpointAborted(inst_->id(), cap.ckpt.seq);
-    }
+double CheckpointPlane::SerializeCostMicros(
+    const core::StateCheckpoint& ckpt) const {
+  // Charged for the processing state only: buffer tuples are retained in
+  // wire format and need no re-encoding (their bytes still cost network
+  // transfer). This is what makes frequent checkpoints of large state
+  // expensive (paper Figs. 14/15).
+  return StateKib(ckpt) * cluster_->config().serialize_cost_us_per_kb;
+}
+
+double CheckpointPlane::PauseCostMicros(
+    const core::StateCheckpoint& ckpt) const {
+  const ClusterConfig& config = cluster_->config();
+  if (!config.async_checkpoints) return SerializeCostMicros(ckpt);
+  return StateKib(ckpt) * config.capture_cost_us_per_kb;
+}
+
+void CheckpointPlane::Ship(core::StateCheckpoint ckpt) {
+  Cluster* cluster = cluster_;
+  const InstanceId owner = inst_->id();
+  if (!cluster->config().async_checkpoints) {
+    ShipCheckpoint(cluster, owner, std::move(ckpt));
     return;
   }
-  MaterializeCaptureBuffer(inst_->buffer_state(), &cap);
-  CkptSerializer::Job job;
-  job.owner = inst_->id();
-  job.owner_op = inst_->op();
-  job.vm = inst_->vm();
-  job.seq = cap.ckpt.seq;
-  job.captured_at = cap.ckpt.taken_at;
-  job.snapshot = std::move(cap.ckpt);
-  ++cluster_->metrics()->async_ckpt_captures;
-  cluster_->ckpt_serializer()->Submit(std::move(job));
-}
-
-core::StateCheckpoint CheckpointPlane::MakeCheckpoint() {
-  CheckpointCapture cap = CaptureFull();
-  MaterializeCaptureBuffer(inst_->buffer_state(), &cap);
-  return std::move(cap.ckpt);
+  // Asynchronous: serialization runs off the processing path, modeled as a
+  // deterministic delay. The abort rule runs before it starts and again
+  // when it ends. The closure must stay copyable, hence the shared_ptr.
+  if (AbortIfOwnerGone(cluster, owner, ckpt.seq)) return;
+  ++cluster->metrics()->async_ckpt_captures;
+  const auto delay = static_cast<SimTime>(SerializeCostMicros(ckpt));
+  auto shared = std::make_shared<core::StateCheckpoint>(std::move(ckpt));
+  cluster->simulation()->Schedule(delay, [cluster, owner, shared]() {
+    SEEP_ASSERT_RUN_ON(sync::DriverThread);
+    ShipCheckpoint(cluster, owner, std::move(*shared));
+  });
 }
 
 bool CheckpointPlane::CanCheckpointIncrementally() const {
@@ -173,13 +171,7 @@ bool CheckpointPlane::CanCheckpointIncrementally() const {
   const BackupStore::Entry* entry = cluster_->backups()->Find(inst_->id());
   if (entry == nullptr) return false;
   if (entry->checkpoint.seq != ckpt_seq_) return false;
-  return entry->holder == cluster_->transport()->BackupHolderFor(inst_);
-}
-
-core::StateCheckpoint CheckpointPlane::MakeDeltaCheckpoint() {
-  CheckpointCapture cap = CaptureDelta();
-  MaterializeCaptureBuffer(inst_->buffer_state(), &cap);
-  return std::move(cap.ckpt);
+  return entry->holder == ChooseBackupHolder(cluster_, inst_);
 }
 
 void CheckpointPlane::OnRestore(const core::StateCheckpoint& checkpoint) {

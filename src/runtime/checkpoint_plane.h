@@ -6,7 +6,6 @@
 #include "common/ids.h"
 #include "common/sync.h"
 #include "core/state.h"
-#include "runtime/ckpt_pipeline.h"
 
 namespace seep::runtime {
 
@@ -29,35 +28,35 @@ class CheckpointPlane {
   /// this instance's backed-up state: a fresher checkpoint landing
   /// mid-operation would trim upstream buffers past the restore point. (The
   /// paper's Algorithm 3 likewise never asks the overloaded operator to
-  /// checkpoint during its own scale out.) Suspension also aborts in-flight
-  /// asynchronous checkpoints at their next pipeline stage boundary.
+  /// checkpoint during its own scale out.) Suspension also aborts a
+  /// checkpoint captured before it that has not shipped yet.
   void Suspend() SEEP_RUN_ON(sync::DriverThread);
   void Resume() SEEP_RUN_ON(sync::DriverThread);
   bool suspended() const SEEP_RUN_ON(sync::DriverThread) {
     return suspended_;
   }
 
-  /// Stage 1 of the checkpoint pipeline: snapshots the processing state and
-  /// marks buffer extents without copying buffered tuples — the cheap pause.
-  /// Advances the sequence/shipped-buffer lineage exactly as the synchronous
-  /// snapshot does.
-  CheckpointCapture Capture(bool delta) SEEP_RUN_ON(sync::DriverThread);
+  /// checkpoint-state(o) → (θo, τo, βo): snapshots the processing state,
+  /// positions and replay buffer. A full capture copies the whole live
+  /// buffer; a delta (`delta`, which requires the operator's
+  /// SupportsIncrementalState()) carries only the state entries changed
+  /// since the previous checkpoint, the buffer tuples not yet shipped, and
+  /// the buffer fronts so the holder can mirror trims. Advances the
+  /// sequence/shipped-buffer lineage either way.
+  core::StateCheckpoint Capture(bool delta) SEEP_RUN_ON(sync::DriverThread);
 
-  /// Hands a finished capture to the background serialization stage (stage
-  /// 2), or aborts it cleanly when the instance died, stopped or was
-  /// suspended while the capture job waited its service time; the next full
-  /// checkpoint's sequence-mismatch fallback heals the skipped delta.
-  void ShipAsync(CheckpointCapture cap) SEEP_RUN_ON(sync::DriverThread);
+  /// The checkpoint job's processing pause for `ckpt`, µs on the reference
+  /// core. Synchronous and asynchronous checkpoints differ only in where
+  /// the modeled serialization cost goes: into this pause (sync), or into a
+  /// delay before shipping (async, whose pause is the cheap capture).
+  double PauseCostMicros(const core::StateCheckpoint& ckpt) const;
 
-  /// checkpoint-state(o) → (θo, τo, βo): synchronous snapshot, used by the
-  /// checkpoint job and by quiesced scale-in. Capture + materialize.
-  core::StateCheckpoint MakeCheckpoint() SEEP_RUN_ON(sync::DriverThread);
-
-  /// Incremental variant: only the state entries changed since the previous
-  /// checkpoint, new buffer tuples, and trim positions for the mirrored
-  /// buffer. Requires the operator's SupportsIncrementalState().
-  core::StateCheckpoint MakeDeltaCheckpoint()
-      SEEP_RUN_ON(sync::DriverThread);
+  /// Sends a captured checkpoint on its way once the checkpoint job's
+  /// pause ends: straight away when synchronous, after the serialization
+  /// delay when asynchronous. The abort rule (AbortIfOwnerGone) and holder
+  /// choice happen in ShipCheckpoint (backup_protocol.h); an asynchronous
+  /// checkpoint is also checked before its delay starts.
+  void Ship(core::StateCheckpoint ckpt) SEEP_RUN_ON(sync::DriverThread);
 
   /// Whether the next periodic checkpoint may be shipped as a delta
   /// (incremental mode on, operator supports it, a full base is stored at
@@ -75,8 +74,9 @@ class CheckpointPlane {
 
  private:
   void ScheduleTimer() SEEP_RUN_ON(sync::DriverThread);
-  CheckpointCapture CaptureFull() SEEP_RUN_ON(sync::DriverThread);
-  CheckpointCapture CaptureDelta() SEEP_RUN_ON(sync::DriverThread);
+  double SerializeCostMicros(const core::StateCheckpoint& ckpt) const;
+  core::StateCheckpoint CaptureFull() SEEP_RUN_ON(sync::DriverThread);
+  core::StateCheckpoint CaptureDelta() SEEP_RUN_ON(sync::DriverThread);
 
   Cluster* cluster_;
   OperatorInstance* inst_;

@@ -8,132 +8,6 @@
 
 namespace seep::runtime {
 
-namespace {
-
-// Buffer entries the capture encodes: a full capture keeps every live
-// buffer (including empty ones, which restore recreates); a delta keeps
-// only extents that actually carry tuples, matching MakeDeltaCheckpoint.
-size_t CapturedBufferEntries(const CheckpointCapture& cap) {
-  if (!cap.ckpt.is_delta) return cap.extents.size();
-  size_t n = 0;
-  for (const auto& [op_id, extent] : cap.extents) {
-    if (extent.tuples > 0) ++n;
-  }
-  return n;
-}
-
-}  // namespace
-
-void MaterializeCaptureBuffer(const core::BufferState& live,
-                              CheckpointCapture* cap) {
-  if (cap->materialized) return;
-  cap->materialized = true;
-  if (!cap->ckpt.is_delta) {
-    // Full capture: the extents cover the whole live region, so a straight
-    // copy is both the cheapest and byte-identical to the old path.
-    cap->ckpt.buffer = live;
-    return;
-  }
-  for (const auto& [op_id, extent] : cap->extents) {
-    if (extent.tuples == 0) continue;
-    const core::TupleBuffer* buf = live.Get(op_id);
-    if (buf == nullptr) continue;
-    for (auto it = buf->UpperBound(extent.from_exclusive);
-         it != buf->end() && it->timestamp <= extent.back; ++it) {
-      cap->ckpt.buffer.Append(op_id, *it);
-    }
-  }
-}
-
-size_t CapturedEncodedSize(const CheckpointCapture& cap) {
-  SEEP_DCHECK(!cap.materialized);
-  // EncodedSize() of the unmaterialized checkpoint counts an empty buffer
-  // section; swap it for the captured one computed from the extents.
-  size_t total = cap.ckpt.EncodedSize() - cap.ckpt.buffer.EncodedSize();
-  total += serde::Encoder::VarintSize(CapturedBufferEntries(cap));
-  for (const auto& [op_id, extent] : cap.extents) {
-    if (cap.ckpt.is_delta && extent.tuples == 0) continue;
-    total += 4 + serde::Encoder::VarintSize(extent.tuples) + extent.bytes;
-  }
-  return total;
-}
-
-void EncodeCapturedCheckpoint(const core::BufferState& live,
-                              const CheckpointCapture& cap,
-                              serde::Encoder* enc) {
-  SEEP_CHECK(!cap.materialized);
-  const core::StateCheckpoint& c = cap.ckpt;
-  enc->Reserve(CapturedEncodedSize(cap));
-  // Field order mirrors StateCheckpoint::Encode exactly; keep in sync.
-  enc->AppendFixed32(c.op);
-  enc->AppendFixed32(c.instance);
-  enc->AppendFixed64(c.origin);
-  enc->AppendFixed64(c.key_range.lo);
-  enc->AppendFixed64(c.key_range.hi);
-  enc->AppendVarintSigned64(c.out_clock);
-  enc->AppendVarint64(c.seq);
-  enc->AppendVarintSigned64(c.taken_at);
-  c.positions.Encode(enc);
-  c.processing.Encode(enc);
-  // The buffer section streams straight from the live buffers.
-  enc->AppendVarint64(CapturedBufferEntries(cap));
-  for (const auto& [op_id, extent] : cap.extents) {
-    if (c.is_delta && extent.tuples == 0) continue;
-    enc->AppendFixed32(op_id);
-    enc->AppendVarint64(extent.tuples);
-    const core::TupleBuffer* buf = live.Get(op_id);
-    SEEP_CHECK(buf != nullptr);
-    if (c.is_delta) {
-      for (auto it = buf->UpperBound(extent.from_exclusive);
-           it != buf->end() && it->timestamp <= extent.back; ++it) {
-        it->Encode(enc);
-      }
-    } else {
-      for (const core::Tuple& t : *buf) t.Encode(enc);
-    }
-  }
-  enc->AppendU8(c.is_delta ? 1 : 0);
-  enc->AppendVarint64(c.base_seq);
-  enc->AppendVarint64(c.deleted_keys.size());
-  for (KeyHash k : c.deleted_keys) enc->AppendFixed64(k);
-  enc->AppendVarint64(c.buffer_front.size());
-  for (const auto& [op_id, front] : c.buffer_front) {
-    enc->AppendFixed32(op_id);
-    enc->AppendVarintSigned64(front);
-  }
-}
-
-// --------------------------------------------------------------- serializer
-
-CkptSerializer::CkptSerializer(sim::Simulation* sim, bool threaded,
-                               bool compress, SimTime pump_interval,
-                               CostFn cost, DoneFn on_done)
-    : sim_(sim),
-      threaded_(threaded),
-      compress_(compress),
-      pump_interval_(pump_interval),
-      cost_(std::move(cost)),
-      on_done_(std::move(on_done)) {}
-
-CkptSerializer::~CkptSerializer() {
-  // Flip the stop flags and move the thread handles out under the lock,
-  // then join outside it: workers reacquire mu_ to publish their last frame
-  // before exiting, and workers_ itself is mu_-guarded state the old code
-  // iterated unlocked (lint rule: every workers_ access holds mu_).
-  std::vector<std::thread> threads;
-  {
-    sync::MutexLock lock(&mu_);
-    for (auto& [vm, ws] : workers_) {
-      ws->stop = true;
-      threads.push_back(std::move(ws->thread));
-    }
-  }
-  cv_.NotifyAll();
-  for (std::thread& thread : threads) {
-    if (thread.joinable()) thread.join();
-  }
-}
-
 SerializedCkptFrame CkptSerializer::BuildFrame(const Job& job, bool compress) {
   serde::Encoder enc;
   job.snapshot.Encode(&enc);  // Encode reserves EncodedSize() exactly
@@ -143,7 +17,6 @@ SerializedCkptFrame CkptSerializer::BuildFrame(const Job& job, bool compress) {
   out.owner = job.owner;
   out.owner_op = job.owner_op;
   out.seq = job.seq;
-  out.captured_at = job.captured_at;
   out.raw_bytes = payload.size();
   if (compress) {
     std::vector<uint8_t> packed = serde::BlockCompress(payload);
@@ -156,87 +29,15 @@ SerializedCkptFrame CkptSerializer::BuildFrame(const Job& job, bool compress) {
   return out;
 }
 
-void CkptSerializer::Submit(Job job) {
-  // Submit mutates driver-confined accounting (outstanding_) and, in sim
-  // mode, schedules events: both are driver-thread-only operations.
-  SEEP_ASSERT_RUN_ON(sync::DriverThread);
-  ++outstanding_;
-  if (!threaded_) {
-    // Deterministic deferral: charge the modeled serialization cost as a
-    // simulation delay, then build the frame inside the event. The closure
-    // must stay copyable, hence the shared_ptr.
-    const SimTime delay = cost_ ? cost_(job.snapshot) : 0;
-    auto shared = std::make_shared<Job>(std::move(job));
-    sim_->Schedule(delay, [this, shared]() {
-      SEEP_ASSERT_RUN_ON(sync::DriverThread);
-      --outstanding_;
-      on_done_(BuildFrame(*shared, compress_));
-    });
-    return;
+[[nodiscard]] Result<core::StateCheckpoint> CkptSerializer::DecodeFrame(
+    const std::vector<uint8_t>& frame, uint64_t raw_bytes, bool compressed) {
+  SEEP_ASSIGN_OR_RETURN(std::vector<uint8_t> raw,
+                        serde::UnframePayload(frame));
+  if (compressed) {
+    SEEP_ASSIGN_OR_RETURN(raw, serde::BlockDecompress(raw, raw_bytes));
   }
-  {
-    sync::MutexLock lock(&mu_);
-    std::unique_ptr<WorkerState>& ws = workers_[job.vm];
-    if (ws == nullptr) {
-      ws = std::make_unique<WorkerState>();
-      ws->thread = std::thread([this, w = ws.get()]() { WorkerLoop(w); });
-    }
-    ws->queue.push_back(std::move(job));
-  }
-  cv_.NotifyAll();
-  if (!pump_scheduled_) {
-    pump_scheduled_ = true;
-    sim_->Schedule(pump_interval_, [this]() {
-      SEEP_ASSERT_RUN_ON(sync::DriverThread);
-      Pump();
-    });
-  }
-}
-
-void CkptSerializer::Pump() {
-  // The done-queue drain re-enters protocol code through on_done_; draining
-  // it from any thread but the driver would hand checkpoint completions to
-  // a thread that must not touch protocol state.
-  SEEP_ASSERT_RUN_ON(sync::DriverThread);
-  std::deque<SerializedCkptFrame> ready;
-  {
-    sync::MutexLock lock(&mu_);
-    ready.swap(done_);
-  }
-  for (SerializedCkptFrame& frame : ready) {
-    --outstanding_;
-    on_done_(std::move(frame));
-  }
-  // Keep polling only while work is in flight, so a quiesced simulation
-  // (RunAll) is not kept alive by an idle heartbeat.
-  if (outstanding_ > 0) {
-    sim_->Schedule(pump_interval_, [this]() {
-      SEEP_ASSERT_RUN_ON(sync::DriverThread);
-      Pump();
-    });
-  } else {
-    pump_scheduled_ = false;
-  }
-}
-
-void CkptSerializer::WorkerLoop(WorkerState* ws) {
-  sync::ScopedThreadRole role(sync::CkptWorkerThread);
-  while (true) {
-    Job job;
-    {
-      sync::MutexLock lock(&mu_);
-      cv_.Wait(&mu_, [this, ws]() {
-        mu_.AssertHeld();
-        return ws->stop || !ws->queue.empty();
-      });
-      if (ws->stop && ws->queue.empty()) return;
-      job = std::move(ws->queue.front());
-      ws->queue.pop_front();
-    }
-    SerializedCkptFrame frame = BuildFrame(job, compress_);
-    sync::MutexLock lock(&mu_);
-    done_.push_back(std::move(frame));
-  }
+  serde::Decoder dec(raw);
+  return core::StateCheckpoint::Decode(&dec);
 }
 
 // ------------------------------------------------------------------- chunks

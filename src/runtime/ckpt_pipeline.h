@@ -2,190 +2,63 @@
 #define SEEP_RUNTIME_CKPT_PIPELINE_H_
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <map>
-#include <memory>
 #include <optional>
-#include <thread>
 #include <tuple>
 #include <vector>
 
 #include "common/ids.h"
 #include "common/result.h"
-#include "common/sync.h"
-#include "common/time.h"
 #include "core/state.h"
 #include "serde/decoder.h"
 #include "serde/encoder.h"
-#include "sim/simulation.h"
 
 namespace seep::runtime {
 
-/// The asynchronous checkpoint pipeline (stage types and workers): a cheap
-/// synchronous *capture* pauses the operator for microseconds, a background
-/// *serialization* stage encodes/compresses/crc32c's the snapshot off the
-/// processing path, and *chunked shipping* interleaves the frame with data
-/// batches through the Transport seam, reassembled at the backup holder.
-/// This header is Transport- and net-free by design: the background worker
-/// code must never touch net/ directly (lint rule ckpt-worker-no-net).
+/// The checkpoint frame codec and the chunk stream that carries frames over
+/// a real wire. A checkpoint travels as a `core::StateCheckpoint` object
+/// everywhere except where it crosses a socket (TcpTransport) or reaches
+/// disk (the durable tier of BackupStore); those two places, and only
+/// those, turn it into bytes — both through CkptSerializer::BuildFrame, so
+/// the log and the wire hold byte-compatible frames. This header is
+/// Transport- and net-free by design (lint rule ckpt-worker-no-net).
 
-/// The slice of one downstream replay buffer a capture covers, recorded as
-/// positions instead of copied tuples: the live buffer is timestamp-sorted,
-/// so (from_exclusive, back] names the captured suffix exactly, and the
-/// bytes are materialized (or encoded straight from the live buffer) later.
-struct BufferExtent {
-  /// Materialize tuples with timestamp strictly above this (INT64_MIN on a
-  /// full capture: the whole live region).
-  int64_t from_exclusive = INT64_MIN;
-  /// ...and at most this. INT64_MIN means the extent is empty.
-  int64_t back = INT64_MIN;
-  /// Tuple count and exact wire bytes of the extent, computed at capture so
-  /// the serialization stage can reserve the frame in one allocation.
-  size_t tuples = 0;
-  size_t bytes = 0;
-};
-
-/// Stage-1 output: the checkpoint with everything *except* the buffer bytes
-/// (`ckpt.buffer` stays empty until materialized), plus per-downstream
-/// extents marking which buffered tuples belong to it. Capturing extents
-/// instead of tuples is what removes the `c.buffer = buffer` deep copy from
-/// the processing pause.
-struct CheckpointCapture {
-  core::StateCheckpoint ckpt;
-  std::map<OperatorId, BufferExtent> extents;
-  bool materialized = false;
-};
-
-/// Copies the captured buffer extents out of the live buffers into
-/// `cap->ckpt.buffer`, producing exactly the checkpoint the old synchronous
-/// capture built. Must run on the driver thread while `live` still covers
-/// the extents (later trims only shrink the front, which is safe: trimmed
-/// tuples are already covered downstream).
-void MaterializeCaptureBuffer(const core::BufferState& live,
-                              CheckpointCapture* cap);
-
-/// Exact wire size of EncodeCapturedCheckpoint's output (equivalently, of
-/// materialize-then-Encode), without materializing. Valid only before
-/// MaterializeCaptureBuffer.
-size_t CapturedEncodedSize(const CheckpointCapture& cap);
-
-/// Encodes the capture as StateCheckpoint::Encode would after
-/// materialization, but streams the buffer section straight out of the live
-/// buffers — one pass from tuples to wire bytes with an exact up-front
-/// Reserve, no intermediate BufferState copy. Must run at capture time,
-/// before any trim can move the live buffers.
-void EncodeCapturedCheckpoint(const core::BufferState& live,
-                              const CheckpointCapture& cap,
-                              serde::Encoder* enc);
-
-/// A prepared synchronous backup, built at capture time and shipped when the
-/// checkpoint job's service time elapses. Backends fill exactly one side:
-/// the sim stores the struct; the TCP backend pre-encodes the payload.
-struct CheckpointShipment {
-  std::unique_ptr<core::StateCheckpoint> ckpt;  // sim backend
-  std::vector<uint8_t> payload;                 // TCP backend (encoded ckpt)
-  uint64_t logical_bytes = 0;  // ByteSize() of the checkpoint at capture
-};
-
-/// What a kCheckpoint scheduler job carries between PrepareJob (capture) and
-/// FinishJob (hand-off to the backup path).
-struct CheckpointWork {
-  bool async = false;
-  CheckpointCapture capture;    // async: materialized + serialized later
-  CheckpointShipment shipment;  // sync: prepared at capture time
-};
-
-/// Stage-2 output: one serialized checkpoint frame ready to ship —
-/// [length | crc32c | payload] where the payload is the encoded checkpoint,
-/// block-compressed when that made it smaller.
+/// One serialized checkpoint frame — [length | crc32c | payload] where the
+/// payload is the encoded checkpoint, block-compressed when that made it
+/// smaller.
 struct SerializedCkptFrame {
   InstanceId owner = kInvalidInstance;
   OperatorId owner_op = 0;
   uint64_t seq = 0;
-  SimTime captured_at = 0;
   uint64_t raw_bytes = 0;  // encoded payload size before compression
   bool compressed = false;
   std::vector<uint8_t> frame;
 };
 
-/// Background serialization workers (stage 2). In sim mode the work is a
-/// deterministic deferred simulation event charged the same serialization
-/// cost the synchronous path models, so figure tables stay byte-identical;
-/// in TCP mode it runs on one std::thread per VM whose completions re-enter
-/// the driver thread through a polled done-queue. Either way the completion
-/// callback runs on the driver thread.
+/// The checkpoint frame codec: serialize + compress + crc32c frame, and its
+/// inverse. Stateless; the modeled CPU cost of serialization is charged in
+/// simulated time by the checkpoint plane, not here.
 class CkptSerializer {
  public:
   struct Job {
     InstanceId owner = kInvalidInstance;
     OperatorId owner_op = 0;
-    VmId vm = kInvalidVm;
     uint64_t seq = 0;
-    SimTime captured_at = 0;
     core::StateCheckpoint snapshot;
   };
-  using DoneFn = std::function<void(SerializedCkptFrame)>;
-  /// Simulated CPU time one snapshot costs to serialize (sim mode's deferral
-  /// delay — the same cost the synchronous pause used to charge).
-  using CostFn = std::function<SimTime(const core::StateCheckpoint&)>;
 
-  CkptSerializer(sim::Simulation* sim, bool threaded, bool compress,
-                 SimTime pump_interval, CostFn cost, DoneFn on_done);
-  ~CkptSerializer();
-
-  CkptSerializer(const CkptSerializer&) = delete;
-  CkptSerializer& operator=(const CkptSerializer&) = delete;
-
-  /// Hands a snapshot to the background stage. Driver thread only
-  /// (runtime-checked: submitting from a worker or loop thread aborts).
-  void Submit(Job job);
-
-  /// Jobs submitted whose completion has not yet been dispatched. Driver
-  /// thread only.
-  size_t in_flight() const SEEP_RUN_ON(sync::DriverThread) {
-    return outstanding_;
-  }
-
-  /// The pure serialize+compress+frame step, shared by both modes (and unit
-  /// tests): encode with an exact reserve, compress when smaller, frame with
-  /// crc32c.
+  /// Encodes with an exact reserve, block-compresses when `compress` is set
+  /// and that makes the payload smaller, and frames with crc32c.
   static SerializedCkptFrame BuildFrame(const Job& job, bool compress);
 
- private:
-  // A nested struct cannot name the enclosing serializer's mu_ in a
-  // SEEP_GUARDED_BY annotation, so the discipline is recorded as waivers.
-  struct WorkerState {
-    std::deque<Job> queue SEEP_UNGUARDED("guarded by CkptSerializer::mu_");
-    std::thread thread
-        SEEP_UNGUARDED("created under mu_ in Submit; moved out under mu_ "
-                       "and joined by the destructor");
-    bool stop SEEP_UNGUARDED("guarded by CkptSerializer::mu_") = false;
-  };
-
-  void Pump() SEEP_RUN_ON(sync::DriverThread);
-  void WorkerLoop(WorkerState* ws);
-
-  sim::Simulation* const sim_;
-  const bool threaded_;
-  const bool compress_;
-  const SimTime pump_interval_;
-  CostFn cost_ SEEP_UNGUARDED("set in the constructor, immutable after");
-  DoneFn on_done_ SEEP_UNGUARDED("set in the constructor, immutable after");
-
-  // Driver-thread state.
-  size_t outstanding_ SEEP_GUARDED_BY(sync::DriverThread) = 0;
-  bool pump_scheduled_ SEEP_GUARDED_BY(sync::DriverThread) = false;
-
-  // Shared with worker threads (threaded mode only).
-  sync::Mutex mu_;
-  sync::CondVar cv_;
-  std::map<VmId, std::unique_ptr<WorkerState>> workers_ SEEP_GUARDED_BY(mu_);
-  std::deque<SerializedCkptFrame> done_ SEEP_GUARDED_BY(mu_);
+  /// Inverse of BuildFrame: unframe (crc32c), decompress when `compressed`,
+  /// decode. Any malformed input is a non-OK status, never a crash.
+  [[nodiscard]] static Result<core::StateCheckpoint> DecodeFrame(
+      const std::vector<uint8_t>& frame, uint64_t raw_bytes, bool compressed);
 };
 
-/// The per-chunk header travelling with each slice of a serialized frame
-/// (stage 3). Chunks of one (owner, seq) stream arrive in order on their
+/// The per-chunk header travelling with each slice of a serialized frame on
+/// the wire. Chunks of one (owner, seq) stream arrive in order on their
 /// FIFO link; `index`/`count` let the holder detect loss or interleaving
 /// corruption, and `raw_bytes`/`compressed` parameterize decompression.
 struct CkptChunkHeader {

@@ -73,20 +73,14 @@ struct ClusterConfig {
   /// the reference core; drives the Fig. 14 overhead.
   double serialize_cost_us_per_kb = 25.0;
 
-  /// Asynchronous checkpoint pipeline: the operator pauses only for a cheap
-  /// capture; serialization/compression runs on a background stage and the
-  /// frame ships in chunks. Off by default — the synchronous path (and
-  /// every figure bench) is bit-for-bit unchanged.
+  /// Asynchronous checkpointing: the operator pauses only for a cheap
+  /// capture, and the modeled serialization cost becomes a sim-time delay
+  /// before the checkpoint ships instead of part of the pause. Off by
+  /// default — the paper's synchronous behaviour.
   bool async_checkpoints = false;
-  /// CPU cost of the capture pause (async pipeline), µs per KiB of
+  /// CPU cost of the capture pause (async checkpoints), µs per KiB of
   /// processing state — the O(dirty) snapshot, not serialization.
   double capture_cost_us_per_kb = 1.0;
-  /// Chunk size for shipping serialized checkpoint frames: multi-MB frames
-  /// interleave with data batches at this granularity.
-  size_t checkpoint_chunk_bytes = 256u << 10;
-  /// Block-compress serialized checkpoint frames when it helps (the flag
-  /// travels per frame, so incompressible payloads ship raw).
-  bool compress_checkpoints = true;
 
   /// Durability tier of the backup directory: kMemory is the paper's single
   /// in-memory copy at the upstream holder (default, and byte-identical to
@@ -160,11 +154,7 @@ class Cluster {
   /// Replay-fence registration and delivery.
   FenceRegistry* fences() { return &fences_; }
 
-  /// The background serialization stage of the async checkpoint pipeline
-  /// (one per cluster; per-VM workers inside).
-  CkptSerializer* ckpt_serializer() { return ckpt_serializer_.get(); }
-
-  /// Holder-side reassembly of chunked checkpoint frames.
+  /// Holder-side reassembly of chunked checkpoint frames (TCP wire).
   CkptChunkReassembler* ckpt_reassembler() { return &ckpt_reassembler_; }
 
   /// The protocol invariant auditor, or null when auditing is off. Every
@@ -239,7 +229,6 @@ class Cluster {
   Membership membership_;
   FenceRegistry fences_;
   std::unique_ptr<Transport> transport_;
-  std::unique_ptr<CkptSerializer> ckpt_serializer_;
   CkptChunkReassembler ckpt_reassembler_;
   std::unique_ptr<verify::InvariantAuditor> auditor_;
 };

@@ -117,16 +117,18 @@ class MetricsRegistry {
   SampleDistribution ckpt_pause_ms{1 << 16, /*seed=*/11};
   /// Capture-to-stored latency of the whole pipeline, ms.
   SampleDistribution ckpt_e2e_ms{1 << 16, /*seed=*/13};
-  /// Async captures handed to the background serialization stage.
+  /// Async captures whose serialization delay started.
   uint64_t async_ckpt_captures = 0;
-  /// Checkpoint chunks delivered at backup holders.
+  /// Checkpoint chunks delivered at backup holders (TCP wire only).
   uint64_t async_ckpt_chunks = 0;
-  /// In-flight async checkpoints aborted (owner died/stopped/suspended).
+  /// Checkpoints aborted at ship time (owner died/stopped/suspended), in
+  /// either mode.
   uint64_t async_ckpts_aborted = 0;
-  /// Serialized checkpoint payload bytes before / after compression.
+  /// Checkpoint frame bytes actually produced — at the durable append and
+  /// on the TCP wire — before / after compression.
   uint64_t ckpt_raw_bytes = 0;
   uint64_t ckpt_wire_bytes = 0;
-  /// Reassembled frames dropped for failing crc/decompress/decode.
+  /// Reassembled TCP frames dropped for failing crc/decompress/decode.
   uint64_t ckpt_decode_failures = 0;
   /// Wire messages the TCP pump dropped because their body failed to
   /// decode. The frame already passed the net layer's crc32c, so these

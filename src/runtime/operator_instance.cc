@@ -125,33 +125,14 @@ void OperatorInstance::PrepareJob(JobScheduler::Job* job) {
                      CostMicrosPerTuple();
       break;
     case Kind::kCheckpoint: {
-      const ClusterConfig& config = cluster_->config();
-      auto work = std::make_unique<CheckpointWork>();
-      work->async = config.async_checkpoints;
-      work->capture =
-          checkpoints_.Capture(checkpoints_.CanCheckpointIncrementally());
-      if (work->capture.ckpt.is_delta) {
+      // The checkpoint is captured here, at the head of the queue, before
+      // any trim can move the live buffers.
+      job->checkpoint = std::make_unique<core::StateCheckpoint>(
+          checkpoints_.Capture(checkpoints_.CanCheckpointIncrementally()));
+      if (job->checkpoint->is_delta) {
         ++cluster_->metrics()->delta_checkpoints_taken;
       }
-      const double kib =
-          static_cast<double>(work->capture.ckpt.processing.ByteSize() + 64) /
-          1024.0;
-      if (work->async) {
-        // Asynchronous pipeline: the operator pauses only for the capture;
-        // serialization CPU is charged on the background stage instead.
-        job->cost_us = kib * config.capture_cost_us_per_kb;
-      } else {
-        // Synchronous path: the backup is fully prepared at capture time
-        // (before any trim moves the live buffers) and serialisation CPU is
-        // charged for the processing state only — buffer tuples are
-        // retained in wire format and need no re-encoding (their bytes
-        // still cost network transfer). This is what makes frequent
-        // checkpoints of large state expensive (paper Figs. 14/15).
-        work->shipment =
-            cluster_->transport()->PrepareBackup(this, &work->capture);
-        job->cost_us = kib * config.serialize_cost_us_per_kb;
-      }
-      job->ckpt_work = std::move(work);
+      job->cost_us = checkpoints_.PauseCostMicros(*job->checkpoint);
       break;
     }
     case Kind::kTimer: {
@@ -188,16 +169,10 @@ void OperatorInstance::FinishJob(JobScheduler::Job* job) {
         ProcessBatch(&job->batch);
       }
       break;
-    case Kind::kCheckpoint: {
-      CheckpointWork* work = job->ckpt_work.get();
+    case Kind::kCheckpoint:
       cluster_->metrics()->ckpt_pause_ms.Add(job->cost_us / 1000.0);
-      if (work->async) {
-        checkpoints_.ShipAsync(std::move(work->capture));
-      } else {
-        cluster_->transport()->ShipBackup(this, std::move(work->shipment));
-      }
+      checkpoints_.Ship(std::move(*job->checkpoint));
       break;
-    }
     case Kind::kTimer:
       router_.Flush(&job->timer_emissions, nullptr);
       break;

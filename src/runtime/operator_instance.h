@@ -114,7 +114,7 @@ class OperatorInstance : private JobScheduler::Host {
   /// checkpoint-state(o) → (θo, τo, βo): synchronous snapshot, used by the
   /// checkpoint job and by quiesced scale-in.
   core::StateCheckpoint MakeCheckpoint() SEEP_RUN_ON(sync::DriverThread) {
-    return checkpoints_.MakeCheckpoint();
+    return checkpoints_.Capture(/*delta=*/false);
   }
 
   /// Incremental variant: only the state entries changed since the previous
@@ -122,7 +122,7 @@ class OperatorInstance : private JobScheduler::Host {
   /// buffer. Requires the operator's SupportsIncrementalState().
   core::StateCheckpoint MakeDeltaCheckpoint()
       SEEP_RUN_ON(sync::DriverThread) {
-    return checkpoints_.MakeDeltaCheckpoint();
+    return checkpoints_.Capture(/*delta=*/true);
   }
 
   /// Whether the next periodic checkpoint may be shipped as a delta.

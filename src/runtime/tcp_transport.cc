@@ -11,6 +11,7 @@
 #include "common/sync.h"
 #include "net/local_cluster.h"
 #include "net/wire.h"
+#include "runtime/backup_protocol.h"
 #include "runtime/cluster.h"
 #include "runtime/operator_instance.h"
 #include "serde/decoder.h"
@@ -169,95 +170,29 @@ SendPressure TcpTransport::SendBatch(OperatorInstance* from, InstanceId to,
   return impl_->Ship(from->vm(), dest->vm(), msg);
 }
 
-InstanceId TcpTransport::BackupHolderFor(
-    const OperatorInstance* owner) const {
-  return ChooseBackupHolder(cluster_, owner);
-}
-
-void TcpTransport::BackupCheckpoint(OperatorInstance* owner,
-                                    core::StateCheckpoint ckpt) {
-  const InstanceId holder_id = BackupHolderFor(owner);
-  if (holder_id == kInvalidInstance) return;  // no live upstream
-  OperatorInstance* holder = cluster_->membership()->GetInstance(holder_id);
-  SEEP_CHECK(holder != nullptr);
-
-  net::Message msg;
-  msg.type = net::MessageType::kCheckpoint;
-  msg.from_vm = owner->vm();
-  msg.to_vm = holder->vm();
-  serde::Encoder enc;
-  enc.AppendVarint64(owner->id());
-  enc.AppendVarint64(owner->op());
-  enc.AppendVarint64(holder_id);
-  enc.AppendVarint64(ckpt.ByteSize());
-  ckpt.Encode(&enc);
-  msg.body = std::move(enc).TakeBuffer();
-  // Pacing: the pump's bounded wait drains in-flight counts, so the
-  // backup path needs no pressure feedback.
-  // seep-ok: unchecked-status -- paced by in-flight accounting
-  (void)impl_->Ship(owner->vm(), holder->vm(), msg);
-}
-
-CheckpointShipment TcpTransport::PrepareBackup(OperatorInstance* owner,
-                                               CheckpointCapture* capture) {
-  CheckpointShipment ship;
-  // ByteSize() of the unmaterialized capture counts an empty buffer; the
-  // extents carry the exact buffer bytes, so the sum equals the
-  // materialized checkpoint's ByteSize.
-  ship.logical_bytes = capture->ckpt.ByteSize();
-  for (const auto& entry : capture->extents) {
-    ship.logical_bytes += entry.second.bytes;
-  }
-  serde::Encoder enc;
-  EncodeCapturedCheckpoint(owner->buffer_state(), *capture, &enc);
-  ship.payload = std::move(enc).TakeBuffer();
-  return ship;
-}
-
-void TcpTransport::ShipBackup(OperatorInstance* owner,
-                              CheckpointShipment ship) {
-  const InstanceId holder_id = BackupHolderFor(owner);
-  if (holder_id == kInvalidInstance) return;  // no live upstream
-  OperatorInstance* holder = cluster_->membership()->GetInstance(holder_id);
-  SEEP_CHECK(holder != nullptr);
-
-  net::Message msg;
-  msg.type = net::MessageType::kCheckpoint;
-  msg.from_vm = owner->vm();
-  msg.to_vm = holder->vm();
-  serde::Encoder enc;
-  enc.AppendVarint64(owner->id());
-  enc.AppendVarint64(owner->op());
-  enc.AppendVarint64(holder_id);
-  enc.AppendVarint64(ship.logical_bytes);
-  enc.Reserve(ship.payload.size());
-  enc.AppendRaw(ship.payload.data(), ship.payload.size());
-  msg.body = std::move(enc).TakeBuffer();
-  // Pacing: the pump's bounded wait drains in-flight counts, so the
-  // backup path needs no pressure feedback.
-  // seep-ok: unchecked-status -- paced by in-flight accounting
-  (void)impl_->Ship(owner->vm(), holder->vm(), msg);
-}
-
-void TcpTransport::ShipCheckpointFrame(OperatorInstance* owner,
-                                       SerializedCkptFrame frame) {
-  const InstanceId holder_id = BackupHolderFor(owner);
-  if (holder_id == kInvalidInstance) return;  // no live upstream
-  OperatorInstance* holder = cluster_->membership()->GetInstance(holder_id);
-  SEEP_CHECK(holder != nullptr);
+void TcpTransport::SendCheckpoint(const CheckpointRoute& route,
+                                  core::StateCheckpoint ckpt) {
+  CkptSerializer::Job job;
+  job.owner = route.owner;
+  job.owner_op = ckpt.op;
+  job.seq = ckpt.seq;
+  job.snapshot = std::move(ckpt);
+  const SerializedCkptFrame frame =
+      CkptSerializer::BuildFrame(job, /*compress=*/false);
+  MetricsRegistry* metrics = cluster_->metrics();
+  metrics->ckpt_raw_bytes += frame.raw_bytes;
+  metrics->ckpt_wire_bytes += frame.frame.size();
 
   const size_t chunk_bytes =
-      std::max<size_t>(1, cluster_->config().checkpoint_chunk_bytes);
+      std::max<size_t>(1, config_.checkpoint_chunk_bytes);
   const size_t total = frame.frame.size();
-  const uint32_t count =
-      static_cast<uint32_t>((total + chunk_bytes - 1) / chunk_bytes);
-
   CkptChunkHeader header;
-  header.owner = frame.owner;
+  header.owner = route.owner;
   header.owner_op = frame.owner_op;
-  header.holder = holder_id;
+  header.holder = route.holder;
   header.seq = frame.seq;
-  header.count = count;
+  header.count =
+      static_cast<uint32_t>((total + chunk_bytes - 1) / chunk_bytes);
   header.frame_bytes = total;
   header.raw_bytes = frame.raw_bytes;
   header.compressed = frame.compressed;
@@ -265,14 +200,14 @@ void TcpTransport::ShipCheckpointFrame(OperatorInstance* owner,
   // One kCheckpointChunk message per chunk. The per-link TCP stream is
   // FIFO, so chunks arrive in index order at the holder's pump, but data
   // batches posted between them interleave freely.
-  for (uint32_t i = 0; i < count; ++i) {
+  for (uint32_t i = 0; i < header.count; ++i) {
     header.index = i;
     const size_t begin = static_cast<size_t>(i) * chunk_bytes;
     const size_t len = std::min(chunk_bytes, total - begin);
     net::Message msg;
     msg.type = net::MessageType::kCheckpointChunk;
-    msg.from_vm = owner->vm();
-    msg.to_vm = holder->vm();
+    msg.from_vm = route.owner_vm;
+    msg.to_vm = route.holder_vm;
     serde::Encoder enc;
     EncodeChunkHeader(header, &enc);
     enc.Reserve(len);
@@ -281,8 +216,33 @@ void TcpTransport::ShipCheckpointFrame(OperatorInstance* owner,
     // Pacing: the pump's bounded wait drains in-flight counts, so the
     // backup path needs no pressure feedback.
     // seep-ok: unchecked-status -- paced by in-flight accounting
-    (void)impl_->Ship(owner->vm(), holder->vm(), msg);
+    (void)impl_->Ship(route.owner_vm, route.holder_vm, msg);
   }
+}
+
+void TcpTransport::DeliverChunk(const CkptChunkHeader& header,
+                                const uint8_t* data, size_t n) {
+  SEEP_ASSERT_RUN_ON(sync::DriverThread);
+  MetricsRegistry* metrics = cluster_->metrics();
+  ++metrics->async_ckpt_chunks;
+  if (auto* audit = cluster_->audit()) {
+    audit->OnCheckpointChunk(header.owner, header.holder, header.seq,
+                             header.index, header.count, n,
+                             header.frame_bytes);
+  }
+  CkptChunkReassembler* reassembler = cluster_->ckpt_reassembler();
+  const auto frame = reassembler->OnChunk(header, data, n);
+  if (!frame.has_value()) return;
+  auto ckpt = CkptSerializer::DecodeFrame(*frame, header.raw_bytes,
+                                          header.compressed);
+  if (!ckpt.ok()) {
+    ++metrics->ckpt_decode_failures;
+    return;
+  }
+  // A completed frame supersedes any partial stream it outranks.
+  reassembler->ForgetThrough(header.owner, header.seq);
+  DeliverCheckpointToHolder(cluster_, header.owner, header.holder,
+                            std::move(ckpt).value());
 }
 
 void TcpTransport::ShipState(VmId from, VmId to, uint64_t size_bytes,
@@ -380,30 +340,6 @@ void TcpTransport::Pump() {
         if (target != nullptr) target->OnBatch(std::move(batch).value());
         break;
       }
-      case net::MessageType::kCheckpoint: {
-        serde::Decoder dec(msg.body);
-        auto owner_id = dec.ReadVarint64();
-        auto owner_op = dec.ReadVarint64();
-        auto holder_id = dec.ReadVarint64();
-        auto bytes = dec.ReadVarint64();
-        if (!owner_id.ok() || !owner_op.ok() || !holder_id.ok() ||
-            !bytes.ok()) {
-          NoteWireDecodeFailure("checkpoint envelope",
-                                Status::InvalidArgument("short varints"));
-          break;
-        }
-        auto ckpt = core::StateCheckpoint::Decode(&dec);
-        if (!ckpt.ok()) {
-          NoteWireDecodeFailure("checkpoint body", ckpt.status());
-          break;
-        }
-        DeliverCheckpointToHolder(
-            cluster_, static_cast<InstanceId>(owner_id.value()),
-            static_cast<OperatorId>(owner_op.value()),
-            static_cast<InstanceId>(holder_id.value()), bytes.value(),
-            std::move(ckpt).value());
-        break;
-      }
       case net::MessageType::kCheckpointChunk: {
         serde::Decoder dec(msg.body);
         auto header = DecodeChunkHeader(&dec);
@@ -413,7 +349,7 @@ void TcpTransport::Pump() {
         }
         const uint8_t* data = msg.body.data() + dec.position();
         const size_t n = msg.body.size() - dec.position();
-        DeliverCheckpointChunk(cluster_, header.value(), data, n);
+        DeliverChunk(header.value(), data, n);
         break;
       }
       case net::MessageType::kStateShip: {

@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "common/time.h"
+#include "runtime/ckpt_pipeline.h"
 #include "runtime/transport.h"
 
 namespace seep::net {
@@ -29,6 +30,8 @@ struct TcpTransportConfig {
   /// Bulk state shipping sends min(logical size, this cap) of real filler
   /// bytes; the logical size still travels in the message.
   uint64_t ship_payload_cap = 1u << 20;
+  /// Chunk size for checkpoint frames on the wire.
+  size_t checkpoint_chunk_bytes = 256u << 10;
   /// Longest wall-clock wait per pump for in-flight messages to land before
   /// sim time advances past them (bounds sim-time skew without letting a
   /// stalled link wedge the simulation).
@@ -53,18 +56,13 @@ class TcpTransport : public Transport {
   void DetachVm(VmId vm) override;
   SendPressure SendBatch(OperatorInstance* from, InstanceId to,
                          core::TupleBatch batch) override;
-  void BackupCheckpoint(OperatorInstance* owner,
-                        core::StateCheckpoint ckpt) override;
-  InstanceId BackupHolderFor(const OperatorInstance* owner) const override;
-  /// Encodes the checkpoint wire payload straight from the live buffers at
-  /// capture time — the synchronous path's buffer tuples go from the live
-  /// buffer to wire bytes in one pass, never through an intermediate
-  /// BufferState copy.
-  CheckpointShipment PrepareBackup(OperatorInstance* owner,
-                                   CheckpointCapture* capture) override;
-  void ShipBackup(OperatorInstance* owner, CheckpointShipment ship) override;
-  void ShipCheckpointFrame(OperatorInstance* owner,
-                           SerializedCkptFrame frame) override;
+  /// The only checkpoint sender that produces bytes: frames the checkpoint
+  /// with CkptSerializer::BuildFrame (crc32c, no compression — loopback
+  /// bandwidth is not worth the CPU) and posts it as a stream of
+  /// kCheckpointChunk messages of at most `checkpoint_chunk_bytes`, so
+  /// multi-MB checkpoints interleave with data batches on the link.
+  void SendCheckpoint(const CheckpointRoute& route,
+                      core::StateCheckpoint ckpt) override;
   void ShipState(VmId from, VmId to, uint64_t size_bytes,
                  std::function<void()> on_delivery) override;
 
@@ -84,6 +82,14 @@ class TcpTransport : public Transport {
 
   void Pump();
   void SchedulePump();
+
+  /// Holder-side arrival of one checkpoint chunk (driver thread): audits
+  /// the chunk stream, reassembles, and on completion decodes the frame
+  /// and delivers it through DeliverCheckpointToHolder. A frame that fails
+  /// to decode is dropped — the owner's next checkpoint supersedes it,
+  /// exactly like a frame lost to a link failure.
+  void DeliverChunk(const CkptChunkHeader& header, const uint8_t* data,
+                    size_t n);
 
   /// A wire body that fails to decode after passing the net layer's
   /// crc32c is protocol divergence: drop the message, but loudly —

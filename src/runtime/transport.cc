@@ -1,208 +1,13 @@
 #include "runtime/transport.h"
 
-#include <algorithm>
 #include <memory>
 #include <utility>
 
-#include "common/logging.h"
-#include "common/sync.h"
-#include "core/state_ops.h"
+#include "runtime/backup_protocol.h"
 #include "runtime/cluster.h"
 #include "runtime/operator_instance.h"
-#include "serde/block_codec.h"
-#include "serde/decoder.h"
-#include "serde/frame.h"
 
 namespace seep::runtime {
-
-InstanceId ChooseBackupHolder(const Cluster* cluster,
-                              const OperatorInstance* owner) {
-  const std::vector<InstanceId> upstream =
-      cluster->membership()->UpstreamInstancesOf(owner->op());
-  if (upstream.empty()) return kInvalidInstance;
-  return cluster->config().spread_backups
-             ? core::ChooseBackupInstance(owner->id(), upstream)
-             : upstream.front();
-}
-
-void DeliverCheckpointToHolder(Cluster* cluster, InstanceId owner_id,
-                               OperatorId owner_op, InstanceId holder_id,
-                               uint64_t bytes, core::StateCheckpoint ckpt,
-                               BackupStore::EncodedFrame* prebuilt) {
-  SEEP_ASSERT_RUN_ON(sync::DriverThread);
-  Membership* members = cluster->membership();
-  MetricsRegistry* metrics = cluster->metrics();
-  const SimTime taken_at = ckpt.taken_at;
-  OperatorInstance* h = members->GetInstance(holder_id);
-  if (h == nullptr || !h->alive() || h->stopped()) return;
-  OperatorInstance* o = members->GetInstance(owner_id);
-  if (o == nullptr || !o->alive()) return;  // owner died meanwhile
-  // A checkpoint caught in flight when the scale-out coordinator suspended
-  // the owner must not land: the coordinator already retrieved the older
-  // backup as the restore point, and this checkpoint's trim
-  // acknowledgements would drop upstream tuples that restore point still
-  // needs replayed.
-  if (o->checkpoints_suspended()) return;
-
-  // Algorithm 1 lines 3/5-7: store (or apply a delta onto the held base),
-  // superseding any previous holder.
-  const core::InputPositions positions = ckpt.positions;
-  uint64_t stored_seq = 0;
-  if (ckpt.is_delta) {
-    BackupStore::Entry* entry = cluster->backups()->Mutable(owner_id);
-    if (entry == nullptr || entry->holder != holder_id) {
-      ++metrics->delta_apply_failures;
-      return;  // base missing or moved; the next full resyncs
-    }
-    // Applied in place on the stored base: ApplyDelta validates before
-    // mutating, so a rejected delta leaves the older consistent base.
-    const Status applied = core::ApplyDelta(&entry->checkpoint, ckpt);
-    if (!applied.ok()) {
-      ++metrics->delta_apply_failures;
-      return;  // out-of-order delta; keep the older consistent base
-    }
-    stored_seq = entry->checkpoint.seq;
-    // The in-place mutation bypassed Store; re-append so the durable tier
-    // catches up with the folded base (no-op in kMemory mode). The
-    // in-memory copy stays canonical, so a refresh failure degrades
-    // durability (counted) without blocking the ack below.
-    const Status refreshed = cluster->backups()->RefreshDurable(owner_id);
-    if (!refreshed.ok()) ++metrics->ckpt_store_failures;
-  } else {
-    // Background checkpoint shipments to different holders can arrive out
-    // of order; a stale one must never supersede a fresher stored
-    // checkpoint whose higher positions were already acknowledged upstream
-    // (recovery from the stale one would need trimmed tuples). LatestSeq
-    // consults every tier, so the guard also holds under kDisk where no
-    // in-memory entry exists.
-    const auto existing = cluster->backups()->LatestSeq(owner_id);
-    if (existing.has_value() && *existing >= ckpt.seq) {
-      return;
-    }
-    stored_seq = ckpt.seq;
-    Status stored;
-    if (prebuilt != nullptr) {
-      stored = cluster->backups()->StoreWithFrame(owner_id, holder_id,
-                                                  std::move(ckpt),
-                                                  std::move(*prebuilt));
-    } else {
-      stored = cluster->backups()->Store(owner_id, holder_id,
-                                         std::move(ckpt));
-    }
-    if (!stored.ok()) {
-      // Nothing holds this checkpoint (kDisk append failed). Firing the
-      // trim acks below would let upstream buffers drop tuples the
-      // (nonexistent) backup cannot replay — the exact lost-window bug
-      // the unchecked-status rule guards. Skip the stored event and the
-      // acks; the owner's next checkpoint retries the append.
-      ++metrics->ckpt_store_failures;
-      return;
-    }
-  }
-  if (auto* audit = cluster->audit()) {
-    audit->OnCheckpointStored(owner_id, o->vm(), holder_id, h->vm(),
-                              stored_seq);
-  }
-  metrics->checkpoints_taken++;
-  metrics->checkpoint_bytes += bytes;
-  // Capture-to-stored latency of the whole pipeline (sampling only; no
-  // effect on simulated behaviour).
-  metrics->ckpt_e2e_ms.Add(SimToMillis(cluster->Now() - taken_at));
-
-  // Algorithm 1 line 4: acknowledge the checkpointed positions to all
-  // upstream instances so they can trim their output buffers.
-  for (OperatorId up_op : cluster->graph()->Upstream(owner_op)) {
-    for (InstanceId uid : members->LiveInstancesOf(up_op)) {
-      OperatorInstance* u = members->GetInstance(uid);
-      u->OnTrimAck(owner_op, owner_id, positions.Get(u->origin()));
-    }
-  }
-}
-
-CheckpointShipment Transport::PrepareBackup(OperatorInstance* owner,
-                                            CheckpointCapture* capture) {
-  MaterializeCaptureBuffer(owner->buffer_state(), capture);
-  CheckpointShipment ship;
-  ship.logical_bytes = capture->ckpt.ByteSize();
-  ship.ckpt =
-      std::make_unique<core::StateCheckpoint>(std::move(capture->ckpt));
-  return ship;
-}
-
-void Transport::ShipBackup(OperatorInstance* owner, CheckpointShipment ship) {
-  BackupCheckpoint(owner, std::move(*ship.ckpt));
-}
-
-void ShipSerializedCheckpoint(Cluster* cluster, SerializedCkptFrame frame) {
-  SEEP_ASSERT_RUN_ON(sync::DriverThread);
-  MetricsRegistry* metrics = cluster->metrics();
-  OperatorInstance* owner = cluster->GetInstance(frame.owner);
-  if (owner == nullptr || !owner->alive() || owner->stopped() ||
-      owner->checkpoints_suspended()) {
-    // The owner died, stopped or was suspended while the frame was being
-    // serialized: abort the in-flight checkpoint cleanly. Suspension case:
-    // the coordinator already chose an older backup as its restore point;
-    // this frame's trim acks would drop tuples that point still needs.
-    ++metrics->async_ckpts_aborted;
-    if (auto* audit = cluster->audit()) {
-      audit->OnAsyncCheckpointAborted(frame.owner, frame.seq);
-    }
-    return;
-  }
-  metrics->ckpt_raw_bytes += frame.raw_bytes;
-  metrics->ckpt_wire_bytes += frame.frame.size();
-  cluster->transport()->ShipCheckpointFrame(owner, std::move(frame));
-}
-
-void DeliverCheckpointChunk(Cluster* cluster, const CkptChunkHeader& header,
-                            const uint8_t* data, size_t n) {
-  SEEP_ASSERT_RUN_ON(sync::DriverThread);
-  MetricsRegistry* metrics = cluster->metrics();
-  ++metrics->async_ckpt_chunks;
-  if (auto* audit = cluster->audit()) {
-    audit->OnCheckpointChunk(header.owner, header.holder, header.seq,
-                             header.index, header.count, n,
-                             header.frame_bytes);
-  }
-  auto frame = cluster->ckpt_reassembler()->OnChunk(header, data, n);
-  if (!frame.has_value()) return;
-
-  // The frame is whole: unframe (crc32c), decompress, decode, deliver. A
-  // failure at any step drops the checkpoint — the owner's next one
-  // supersedes it, exactly like a frame lost to a link failure.
-  auto payload = serde::UnframePayload(*frame);
-  if (!payload.ok()) {
-    ++metrics->ckpt_decode_failures;
-    return;
-  }
-  std::vector<uint8_t> raw = std::move(payload).value();
-  if (header.compressed) {
-    auto unpacked = serde::BlockDecompress(raw, header.raw_bytes);
-    if (!unpacked.ok()) {
-      ++metrics->ckpt_decode_failures;
-      return;
-    }
-    raw = std::move(unpacked).value();
-  }
-  serde::Decoder dec(raw);
-  auto ckpt = core::StateCheckpoint::Decode(&dec);
-  if (!ckpt.ok()) {
-    ++metrics->ckpt_decode_failures;
-    return;
-  }
-  // A completed frame supersedes any partial stream it outranks.
-  cluster->ckpt_reassembler()->ForgetThrough(header.owner, header.seq);
-  const uint64_t bytes = ckpt.value().ByteSize();
-  // Hand the intact wire frame along so a durable tier appends the received
-  // bytes verbatim instead of re-encoding the decoded checkpoint.
-  BackupStore::EncodedFrame prebuilt;
-  prebuilt.frame = std::move(*frame);
-  prebuilt.raw_bytes = header.raw_bytes;
-  prebuilt.compressed = header.compressed;
-  DeliverCheckpointToHolder(cluster, header.owner, header.owner_op,
-                            header.holder, bytes, std::move(ckpt).value(),
-                            &prebuilt);
-}
 
 void SimTransport::AttachVm(VmId vm) { cluster_->network()->Attach(vm); }
 
@@ -224,102 +29,18 @@ SendPressure SimTransport::SendBatch(OperatorInstance* from, InstanceId to,
   return SendPressure::kNone;
 }
 
-InstanceId SimTransport::BackupHolderFor(
-    const OperatorInstance* owner) const {
-  return ChooseBackupHolder(cluster_, owner);
-}
-
-void SimTransport::BackupCheckpoint(OperatorInstance* owner,
-                                    core::StateCheckpoint ckpt) {
-  // Algorithm 1 line 2: spread backup load over upstream instances by hash
-  // (unless disabled for the ablation baseline).
-  const InstanceId holder_id = BackupHolderFor(owner);
-  if (holder_id == kInvalidInstance) return;  // no live upstream
-  OperatorInstance* holder = cluster_->membership()->GetInstance(holder_id);
-  SEEP_CHECK(holder != nullptr);
-
+void SimTransport::SendCheckpoint(const CheckpointRoute& route,
+                                  core::StateCheckpoint ckpt) {
   const uint64_t bytes = ckpt.ByteSize();
-  const InstanceId owner_id = owner->id();
-  const OperatorId owner_op = owner->op();
   auto shared = std::make_shared<core::StateCheckpoint>(std::move(ckpt));
-
+  Cluster* cluster = cluster_;
   cluster_->network()->Send(
-      owner->vm(), holder->vm(), bytes,
-      // Checkpoint shipping is throttled background traffic: it must not
-      // delay the data path (the paper checkpoints asynchronously).
-      [this, owner_id, owner_op, holder_id, bytes, shared]() {
-        DeliverCheckpointToHolder(cluster_, owner_id, owner_op, holder_id,
-                                  bytes, std::move(*shared));
+      route.owner_vm, route.holder_vm, bytes,
+      [cluster, route, shared]() {
+        DeliverCheckpointToHolder(cluster, route.owner, route.holder,
+                                  std::move(*shared));
       },
       /*background=*/true);
-}
-
-namespace {
-
-/// One in-flight chunked frame ship on the sim backend. Background
-/// messages share no FIFO with each other (they only queue behind
-/// foreground traffic), so firing every chunk at once would deliver the
-/// short tail chunk first; instead chunk i+1 leaves only when chunk i is
-/// delivered — the stream stays in order, the frame trickles out behind
-/// data batches, and an owner dying mid-stream cuts it exactly at a chunk
-/// boundary (the partial stream is superseded by the next checkpoint).
-struct SimChunkStream {
-  Cluster* cluster = nullptr;
-  CkptChunkHeader header;  // index filled in per chunk
-  std::shared_ptr<SerializedCkptFrame> frame;
-  VmId owner_vm = kInvalidVm;
-  VmId holder_vm = kInvalidVm;
-  size_t chunk_bytes = 0;
-};
-
-void SendChunk(const std::shared_ptr<SimChunkStream>& stream, uint32_t index) {
-  CkptChunkHeader header = stream->header;
-  header.index = index;
-  const size_t total = stream->frame->frame.size();
-  const size_t begin = static_cast<size_t>(index) * stream->chunk_bytes;
-  const size_t len = std::min(stream->chunk_bytes, total - begin);
-  stream->cluster->network()->Send(
-      stream->owner_vm, stream->holder_vm, len,
-      [stream, header, begin, len]() {
-        DeliverCheckpointChunk(stream->cluster, header,
-                               stream->frame->frame.data() + begin, len);
-        if (header.index + 1 < header.count) {
-          SendChunk(stream, header.index + 1);
-        }
-      },
-      /*background=*/true);
-}
-
-}  // namespace
-
-void SimTransport::ShipCheckpointFrame(OperatorInstance* owner,
-                                       SerializedCkptFrame frame) {
-  const InstanceId holder_id = BackupHolderFor(owner);
-  if (holder_id == kInvalidInstance) return;  // no live upstream
-  OperatorInstance* holder = cluster_->membership()->GetInstance(holder_id);
-  SEEP_CHECK(holder != nullptr);
-
-  const size_t chunk_bytes =
-      std::max<size_t>(1, cluster_->config().checkpoint_chunk_bytes);
-  auto shared = std::make_shared<SerializedCkptFrame>(std::move(frame));
-  const size_t total = shared->frame.size();
-
-  auto stream = std::make_shared<SimChunkStream>();
-  stream->cluster = cluster_;
-  stream->header.owner = shared->owner;
-  stream->header.owner_op = shared->owner_op;
-  stream->header.holder = holder_id;
-  stream->header.seq = shared->seq;
-  stream->header.count =
-      static_cast<uint32_t>((total + chunk_bytes - 1) / chunk_bytes);
-  stream->header.frame_bytes = total;
-  stream->header.raw_bytes = shared->raw_bytes;
-  stream->header.compressed = shared->compressed;
-  stream->frame = std::move(shared);
-  stream->owner_vm = owner->vm();
-  stream->holder_vm = holder->vm();
-  stream->chunk_bytes = chunk_bytes;
-  SendChunk(stream, 0);
 }
 
 void SimTransport::ShipState(VmId from, VmId to, uint64_t size_bytes,

@@ -6,8 +6,6 @@
 #include "common/ids.h"
 #include "core/state.h"
 #include "core/tuple.h"
-#include "runtime/backup_store.h"
-#include "runtime/ckpt_pipeline.h"
 
 namespace seep::runtime {
 
@@ -25,12 +23,22 @@ enum class [[nodiscard]] SendPressure : uint8_t {
   kPressured = 1,
 };
 
+/// Where one checkpoint goes: its owner and the holder Algorithm 1 chose at
+/// ship time (backup_protocol.h), with the VMs hosting both.
+struct CheckpointRoute {
+  InstanceId owner = kInvalidInstance;
+  VmId owner_vm = kInvalidVm;
+  InstanceId holder = kInvalidInstance;
+  VmId holder_vm = kInvalidVm;
+};
+
 /// All inter-instance message shipping: tuple batches on the data path,
-/// checkpoint backups (with their trim acknowledgements) on the background
-/// path, and bulk state shipping during scale out / recovery. Everything an
-/// instance or coordinator sends to another VM goes through this interface —
-/// a threaded or socket-based backend is a drop-in replacement for the
-/// simulated one.
+/// checkpoints on the background path, and bulk state shipping during scale
+/// out / recovery. Everything an instance or coordinator sends to another
+/// VM goes through this interface — a threaded or socket-based backend is a
+/// drop-in replacement for the simulated one. Transports only carry; the
+/// backup protocol (holder choice, abort, store, trim acks) lives in
+/// backup_protocol.h, once for every backend.
 class Transport {
  public:
   virtual ~Transport() = default;
@@ -48,39 +56,12 @@ class Transport {
   virtual SendPressure SendBatch(OperatorInstance* from, InstanceId to,
                                  core::TupleBatch batch) = 0;
 
-  /// Algorithm 1 backup-state: selects the holder by hashing over upstream
-  /// instances, ships the checkpoint, stores it (applying it onto the held
-  /// copy when it is a delta), and sends trim acknowledgements to the
-  /// owner's upstream instances.
-  virtual void BackupCheckpoint(OperatorInstance* owner,
-                                core::StateCheckpoint ckpt) = 0;
-
-  /// The holder Algorithm 1 would choose for `owner` right now, or
-  /// kInvalidInstance if there is no live upstream. Owners use this to
-  /// decide whether an incremental checkpoint can target the same holder
-  /// as the stored base.
-  virtual InstanceId BackupHolderFor(const OperatorInstance* owner) const = 0;
-
-  /// Synchronous-checkpoint capture hook: turns a stage-1 capture into the
-  /// shipment ShipBackup sends once the checkpoint job's service time has
-  /// elapsed. Runs at capture time, before any trim can move the live
-  /// buffers. The default materializes the capture into a checkpoint
-  /// struct; the TCP backend overrides it to encode the wire payload
-  /// straight from the live buffers, skipping the intermediate buffer copy.
-  virtual CheckpointShipment PrepareBackup(OperatorInstance* owner,
-                                           CheckpointCapture* capture);
-
-  /// Ships a shipment built by PrepareBackup (holder choice happens here,
-  /// at ship time, exactly as BackupCheckpoint does). The default unwraps
-  /// the materialized checkpoint and delegates to BackupCheckpoint.
-  virtual void ShipBackup(OperatorInstance* owner, CheckpointShipment ship);
-
-  /// Stage 3 of the asynchronous pipeline: ships one serialized checkpoint
-  /// frame to the holder Algorithm 1 selects now, split into chunks of at
-  /// most the configured chunk size so multi-MB checkpoints interleave with
-  /// data batches instead of occupying a link in one burst.
-  virtual void ShipCheckpointFrame(OperatorInstance* owner,
-                                   SerializedCkptFrame frame) = 0;
+  /// Carries one checkpoint along `route` as background traffic and runs
+  /// DeliverCheckpointToHolder at the holder when it arrives whole. A
+  /// checkpoint lost on the way (dead VM, broken link) simply never
+  /// arrives; the owner's next checkpoint supersedes it.
+  virtual void SendCheckpoint(const CheckpointRoute& route,
+                              core::StateCheckpoint ckpt) = 0;
 
   /// Bulk state shipping (partitioned checkpoints during scale out /
   /// recovery): `size_bytes` from VM `from` to VM `to`, then `on_delivery`.
@@ -88,46 +69,11 @@ class Transport {
                          std::function<void()> on_delivery) = 0;
 };
 
-/// Algorithm 1 line 2: the holder for `owner`'s checkpoints — spread over
-/// the live upstream instances by hash (or the first one, for the ablation
-/// baseline); kInvalidInstance when no upstream is live. Shared by every
-/// Transport backend so they cannot drift on holder choice.
-InstanceId ChooseBackupHolder(const Cluster* cluster,
-                              const OperatorInstance* owner);
-
-/// Algorithm 1 lines 3-7 on the holder's side, run when a shipped checkpoint
-/// arrives: validity/suspension guards, store (or delta-apply onto the held
-/// base) with the stale-sequence guard, audit hook, metrics, and the trim
-/// acknowledgements to the owner's upstream instances. Shared by every
-/// Transport backend — the wire differs, the protocol must not. `prebuilt`
-/// (optional, consumed) is the checkpoint's already-serialized wire frame:
-/// the chunked receive path passes it so a durable-tier append reuses the
-/// received bytes instead of re-encoding.
-void DeliverCheckpointToHolder(Cluster* cluster, InstanceId owner_id,
-                               OperatorId owner_op, InstanceId holder_id,
-                               uint64_t bytes, core::StateCheckpoint ckpt,
-                               BackupStore::EncodedFrame* prebuilt = nullptr);
-
-/// The serializer's completion hook (driver thread): re-checks that the
-/// owner is still alive, running and unsuspended — an async checkpoint
-/// caught by Suspend()/failure between capture and serialization aborts
-/// here — then records compression metrics and hands the frame to the
-/// transport's chunked shipping. Shared by both backends.
-void ShipSerializedCheckpoint(Cluster* cluster, SerializedCkptFrame frame);
-
-/// Holder-side arrival of one checkpoint chunk (driver thread): audits the
-/// chunk stream, reassembles, and on completion unframes (crc32c),
-/// decompresses, decodes and delivers through DeliverCheckpointToHolder.
-/// Any decode failure drops the frame — the owner's next checkpoint
-/// supersedes it, exactly like a frame lost to a link failure. Shared by
-/// both backends so the wire differs but the protocol cannot.
-void DeliverCheckpointChunk(Cluster* cluster, const CkptChunkHeader& header,
-                            const uint8_t* data, size_t n);
-
 /// Transport over the deterministic `sim::Network`: batches pay the data
-/// path's bandwidth/latency; checkpoint shipping is throttled background
-/// traffic that must not delay the data path (the paper checkpoints
-/// asynchronously).
+/// path's bandwidth/latency; a checkpoint travels as one throttled
+/// background message that must not delay the data path (the paper
+/// checkpoints asynchronously). Messages are objects charged their encoded
+/// size, so the simulator never serializes a batch or a checkpoint.
 class SimTransport : public Transport {
  public:
   explicit SimTransport(Cluster* cluster) : cluster_(cluster) {}
@@ -136,11 +82,8 @@ class SimTransport : public Transport {
   void DetachVm(VmId vm) override;
   SendPressure SendBatch(OperatorInstance* from, InstanceId to,
                          core::TupleBatch batch) override;
-  void BackupCheckpoint(OperatorInstance* owner,
-                        core::StateCheckpoint ckpt) override;
-  InstanceId BackupHolderFor(const OperatorInstance* owner) const override;
-  void ShipCheckpointFrame(OperatorInstance* owner,
-                           SerializedCkptFrame frame) override;
+  void SendCheckpoint(const CheckpointRoute& route,
+                      core::StateCheckpoint ckpt) override;
   void ShipState(VmId from, VmId to, uint64_t size_bytes,
                  std::function<void()> on_delivery) override;
 

@@ -8,27 +8,53 @@ namespace {
 
 constexpr uint32_t kPoly = 0x82F63B78u;  // reflected CRC-32C polynomial
 
-constexpr std::array<uint32_t, 256> MakeTable() {
-  std::array<uint32_t, 256> table{};
+using Tables = std::array<std::array<uint32_t, 256>, 8>;
+
+// Slicing-by-8: kTables[0] is the classic byte table; kTables[k][b] is the
+// CRC of byte b followed by k zero bytes, so eight table lookups fold eight
+// input bytes at once.
+constexpr Tables MakeTables() {
+  Tables t{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t crc = i;
     for (int j = 0; j < 8; ++j) {
       crc = (crc >> 1) ^ ((crc & 1) ? kPoly : 0);
     }
-    table[i] = crc;
+    t[0][i] = crc;
   }
-  return table;
+  for (size_t k = 1; k < t.size(); ++k) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFF];
+    }
+  }
+  return t;
 }
 
-constexpr std::array<uint32_t, 256> kTable = MakeTable();
+constexpr Tables kTables = MakeTables();
+
+// Little-endian 32-bit load, independent of the host's byte order (compiles
+// to a plain load on little-endian targets).
+inline uint32_t Load32(const uint8_t* p) {
+  return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
+         (static_cast<uint32_t>(p[2]) << 16) |
+         (static_cast<uint32_t>(p[3]) << 24);
+}
 
 }  // namespace
 
 uint32_t Crc32c(const void* data, size_t n, uint32_t init) {
   const auto* p = static_cast<const uint8_t*>(data);
   uint32_t crc = ~init;
-  for (size_t i = 0; i < n; ++i) {
-    crc = (crc >> 8) ^ kTable[(crc ^ p[i]) & 0xFF];
+  for (; n >= 8; n -= 8, p += 8) {
+    const uint32_t lo = crc ^ Load32(p);
+    const uint32_t hi = Load32(p + 4);
+    crc = kTables[7][lo & 0xFF] ^ kTables[6][(lo >> 8) & 0xFF] ^
+          kTables[5][(lo >> 16) & 0xFF] ^ kTables[4][lo >> 24] ^
+          kTables[3][hi & 0xFF] ^ kTables[2][(hi >> 8) & 0xFF] ^
+          kTables[1][(hi >> 16) & 0xFF] ^ kTables[0][hi >> 24];
+  }
+  for (; n > 0; --n, ++p) {
+    crc = (crc >> 8) ^ kTables[0][(crc ^ *p) & 0xFF];
   }
   return ~crc;
 }

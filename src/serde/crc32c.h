@@ -7,8 +7,9 @@
 namespace seep::serde {
 
 /// CRC-32C (Castagnoli) over `n` bytes, starting from `init` (pass the
-/// previous value to extend a running checksum). Software table
-/// implementation; used to frame checkpoints and detect corruption.
+/// previous value to extend a running checksum). Portable software
+/// implementation, slicing-by-8; used to frame wire messages, checkpoints
+/// and durable log records and detect corruption.
 uint32_t Crc32c(const void* data, size_t n, uint32_t init = 0);
 
 }  // namespace seep::serde

@@ -126,9 +126,9 @@ class InvariantAuditor {
   void OnCheckpointsSuspended(InstanceId instance);
   void OnCheckpointsResumed(InstanceId instance);
 
-  /// An in-flight asynchronous checkpoint of `owner` seq `seq` was aborted
-  /// (owner died, stopped, or was suspended between pipeline stages). The
-  /// aborted sequence must never be stored later — OnCheckpointStored trips
+  /// A checkpoint of `owner` seq `seq` was aborted at ship time (owner
+  /// died, stopped, or was suspended after the capture). The aborted
+  /// sequence must never be stored later — OnCheckpointStored trips
   /// aborted-checkpoint-stored if it is.
   void OnAsyncCheckpointAborted(InstanceId owner, uint64_t seq);
 

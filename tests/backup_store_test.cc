@@ -7,6 +7,7 @@
 #include <string>
 
 #include "runtime/backup_store.h"
+#include "runtime/ckpt_pipeline.h"
 #include "store/checkpoint_log.h"
 
 namespace seep::runtime {
@@ -83,7 +84,7 @@ TEST(BackupStoreTest, DiskModeFailedAppendStoresNothing) {
   ASSERT_TRUE(log.ok());
   BackupStore store;
   store.AttachDurable(log->get(), BackupDurability::kDisk,
-                      /*compress=*/false, /*audit=*/nullptr);
+                      /*audit=*/nullptr, /*metrics=*/nullptr);
   const Status stored = store.Store(1, 10, Ckpt(1, 5));
   EXPECT_FALSE(stored.ok());
   EXPECT_FALSE(store.Has(1));
@@ -99,13 +100,66 @@ TEST(BackupStoreTest, TieredModeFailedAppendKeepsMemoryCopy) {
   ASSERT_TRUE(log.ok());
   BackupStore store;
   store.AttachDurable(log->get(), BackupDurability::kTiered,
-                      /*compress=*/false, /*audit=*/nullptr);
+                      /*audit=*/nullptr, /*metrics=*/nullptr);
   ASSERT_TRUE(store.Store(1, 10, Ckpt(1, 5)).ok());
   ASSERT_TRUE(store.Has(1));
   auto entry = store.Retrieve(1);
   ASSERT_TRUE(entry.ok());
   EXPECT_EQ(entry->checkpoint.seq, 5u);
   EXPECT_FALSE(entry->from_disk);
+}
+
+TEST(BackupStoreTest, DurableRecordIsThePipelineFrame) {
+  // The durable tier frames with the same codec as the TCP wire, so the
+  // bytes on disk are exactly CkptSerializer::BuildFrame's output (and a
+  // replay of BuildFrame + CheckpointLog::Append times what the runtime
+  // really writes). The frame-bytes metrics count that append.
+  const std::filesystem::path dir = std::filesystem::current_path() /
+                                    "backup_store_test_tmp" / "frame";
+  std::filesystem::remove_all(dir);
+  store::CheckpointLogConfig config;
+  config.directory = dir.string();
+  config.fsync = store::FsyncPolicy::kNever;
+  config.background_compaction = false;
+  auto log = store::CheckpointLog::Open(config);
+  ASSERT_TRUE(log.ok());
+  MetricsRegistry metrics;
+  BackupStore store;
+  store.AttachDurable(log->get(), BackupDurability::kDisk,
+                      /*audit=*/nullptr, &metrics);
+
+  core::StateCheckpoint ckpt = Ckpt(1, 5);
+  ckpt.op = 3;
+  ckpt.taken_at = 777;
+  for (int i = 0; i < 100; ++i) {
+    ckpt.processing.Add(100 + i, "repetitive-window-count-payload");
+  }
+  CkptSerializer::Job job;
+  job.owner = 1;
+  job.owner_op = ckpt.op;
+  job.seq = ckpt.seq;
+  job.snapshot = ckpt;
+  const SerializedCkptFrame expected =
+      CkptSerializer::BuildFrame(job, /*compress=*/true);
+  ASSERT_TRUE(expected.compressed);
+
+  ASSERT_TRUE(store.Store(1, 10, std::move(ckpt)).ok());
+  auto payload = log->get()->ReadPayload(1);
+  ASSERT_TRUE(payload.ok());
+  EXPECT_EQ(payload.value(), expected.frame);
+  const auto meta = log->get()->Find(1);
+  ASSERT_TRUE(meta.has_value());
+  EXPECT_EQ(meta->raw_bytes, expected.raw_bytes);
+  EXPECT_TRUE(meta->compressed);
+  EXPECT_EQ(metrics.ckpt_raw_bytes, expected.raw_bytes);
+  EXPECT_EQ(metrics.ckpt_wire_bytes, expected.frame.size());
+
+  // And the shared decode reads it back.
+  auto entry = store.Retrieve(1);
+  ASSERT_TRUE(entry.ok());
+  EXPECT_TRUE(entry->from_disk);
+  EXPECT_EQ(entry->checkpoint.processing.size(), 100u);
+  EXPECT_EQ(entry->checkpoint.taken_at, 777);
 }
 
 TEST(BackupStoreTest, DeleteRemovesEntry) {

@@ -1,22 +1,22 @@
-// Tests for the asynchronous checkpoint pipeline (runtime/ckpt_pipeline):
-// capture/materialize equivalence against the old synchronous snapshot,
-// byte-equality of the streaming encode, frame build round-trips through
-// compression and framing, chunk-header codec and holder-side reassembly
-// units, and a short sim end-to-end run proving the async pipeline produces
-// the synchronous baseline's results under a level-2 audit.
+// Tests for the checkpoint path: capture (full and delta) on a deployed
+// instance, frame build round-trips through compression and framing,
+// chunk-header codec and holder-side reassembly units, and short sim
+// end-to-end runs proving asynchronous checkpoints produce the synchronous
+// baseline's results under a level-2 audit, with checkpoint bytes counted
+// only where they are produced.
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "common/sync.h"
+#include "control/deployment_manager.h"
 #include "core/state.h"
 #include "runtime/ckpt_pipeline.h"
+#include "runtime/cluster.h"
+#include "runtime/operator_instance.h"
 #include "serde/block_codec.h"
 #include "serde/decoder.h"
 #include "serde/encoder.h"
@@ -37,18 +37,6 @@ core::Tuple MakeTuple(int64_t ts, const std::string& text) {
   return t;
 }
 
-// Live buffers with a multi-tuple downstream, a single-tuple one, and a
-// deployed-but-empty one (full captures must keep the empty entry).
-core::BufferState MakeLive() {
-  core::BufferState live;
-  live.Append(4, MakeTuple(10, "alpha"));
-  live.Append(4, MakeTuple(20, "beta"));
-  live.Append(4, MakeTuple(30, "gamma"));
-  live.Append(5, MakeTuple(15, "delta"));
-  live.buffers()[6];
-  return live;
-}
-
 void FillHeader(core::StateCheckpoint* c) {
   c->op = 3;
   c->instance = 11;
@@ -61,150 +49,109 @@ void FillHeader(core::StateCheckpoint* c) {
   c->processing.Add(9, "value-b");
 }
 
-// Mirrors CheckpointPlane::CaptureFull's extent construction.
-CheckpointCapture FullCapture(const core::BufferState& live) {
-  CheckpointCapture cap;
-  FillHeader(&cap.ckpt);
-  for (const auto& [op_id, tuples] : live.buffers()) {
-    BufferExtent extent;
-    extent.from_exclusive = INT64_MIN;
-    extent.back = tuples.empty() ? INT64_MIN : tuples.back().timestamp;
-    extent.tuples = tuples.size();
-    extent.bytes = tuples.ByteSize();
-    cap.extents[op_id] = extent;
-  }
-  return cap;
-}
-
-// Mirrors CheckpointPlane::CaptureDelta: op 4 shipped through 20 (one
-// unshipped tuple), op 5 never shipped (whole buffer), op 6 empty.
-CheckpointCapture DeltaCapture(const core::BufferState& live) {
-  CheckpointCapture cap;
-  FillHeader(&cap.ckpt);
-  cap.ckpt.is_delta = true;
-  cap.ckpt.base_seq = 6;
-  cap.ckpt.deleted_keys.push_back(77);
-  std::map<OperatorId, int64_t> shipped{
-      {4, 20}, {5, INT64_MIN}, {6, INT64_MIN}};
-  for (const auto& [op_id, tuples] : live.buffers()) {
-    cap.ckpt.buffer_front[op_id] =
-        tuples.empty() ? 41 : tuples.front().timestamp;
-    BufferExtent extent;
-    extent.from_exclusive = shipped[op_id];
-    if (!tuples.empty() && tuples.back().timestamp > extent.from_exclusive) {
-      extent.back = tuples.back().timestamp;
-      auto it = tuples.UpperBound(extent.from_exclusive);
-      extent.tuples = static_cast<size_t>(tuples.end() - it);
-      for (; it != tuples.end(); ++it) extent.bytes += it->SerializedSize();
-    }
-    cap.extents[op_id] = extent;
-  }
-  return cap;
-}
-
 std::vector<uint8_t> EncodeDirect(const core::StateCheckpoint& c) {
   serde::Encoder enc;
   c.Encode(&enc);
   return std::move(enc).TakeBuffer();
 }
 
-// ------------------------------------------------- capture / materialize
-
-TEST(CaptureTest, MaterializedFullCaptureEqualsWholesaleCopy) {
-  const core::BufferState live = MakeLive();
-  CheckpointCapture cap = FullCapture(live);
-  MaterializeCaptureBuffer(live, &cap);
-
-  core::StateCheckpoint direct;
-  FillHeader(&direct);
-  direct.buffer = live;
-  EXPECT_EQ(EncodeDirect(cap.ckpt), EncodeDirect(direct));
-  // Empty downstream entries survive a full capture (restore recreates
-  // them), and the unmaterialized ByteSize + extent bytes match.
-  EXPECT_EQ(cap.ckpt.buffer.buffers().size(), 3u);
+std::vector<uint8_t> EncodeBuffer(const core::BufferState& b) {
+  serde::Encoder enc;
+  b.Encode(&enc);
+  return std::move(enc).TakeBuffer();
 }
 
-TEST(CaptureTest, ExtentBytesCompleteTheUnmaterializedByteSize) {
-  const core::BufferState live = MakeLive();
-  const CheckpointCapture cap = FullCapture(live);
-  size_t with_extents = cap.ckpt.ByteSize();
-  for (const auto& [op_id, extent] : cap.extents) {
-    with_extents += extent.bytes;
+// ---------------------------------------------------------------- capture
+
+// A deployed word-count query whose counter instance's replay buffer each
+// test replaces with hand-made tuples. The simulation never runs, so no
+// trim or emission touches the buffer between captures.
+struct CaptureHarness {
+  CaptureHarness()
+      : query(workloads::wordcount::BuildWordCountQuery({})),
+        cluster(&query.graph, ClusterConfig{}) {
+    control::DeploymentManager deployer(&cluster);
+    EXPECT_TRUE(deployer.DeployAll().ok());
+    inst = cluster.GetInstance(cluster.LiveInstancesOf(query.counter).at(0));
   }
-  CheckpointCapture materialized = cap;
-  MaterializeCaptureBuffer(live, &materialized);
-  EXPECT_EQ(with_extents, materialized.ckpt.ByteSize());
+
+  workloads::wordcount::WordCountQuery query;
+  Cluster cluster;
+  OperatorInstance* inst = nullptr;
+};
+
+TEST(CaptureTest, FullCaptureCopiesTheWholeLiveBuffer) {
+  CaptureHarness h;
+  core::BufferState& live = h.inst->buffer_state();
+  live.Append(4, MakeTuple(10, "alpha"));
+  live.Append(4, MakeTuple(20, "beta"));
+  live.Append(5, MakeTuple(15, "delta"));
+  live.buffers()[6];  // a deployed-but-empty downstream
+
+  const core::StateCheckpoint ckpt = h.inst->MakeCheckpoint();
+  EXPECT_FALSE(ckpt.is_delta);
+  EXPECT_EQ(EncodeBuffer(ckpt.buffer), EncodeBuffer(live));
+  // Empty downstream entries survive a full capture (restore recreates
+  // them).
+  EXPECT_EQ(ckpt.buffer.buffers().size(), 3u);
 }
 
-TEST(CaptureTest, MaterializedDeltaCaptureTakesUnshippedSuffix) {
-  const core::BufferState live = MakeLive();
-  CheckpointCapture cap = DeltaCapture(live);
-  MaterializeCaptureBuffer(live, &cap);
+TEST(CaptureTest, ByteSizeCountsTheCapturedBuffer) {
+  CaptureHarness h;
+  core::BufferState& live = h.inst->buffer_state();
+  live.Append(4, MakeTuple(10, "alpha"));
+  live.Append(4, MakeTuple(20, "beta"));
 
-  // Op 4: only the tuple past the shipped position; op 5: everything;
-  // op 6: no entry at all (deltas skip empty extents, like the old
-  // MakeDeltaCheckpoint which only Append()ed real tuples).
-  ASSERT_NE(cap.ckpt.buffer.Get(4), nullptr);
-  ASSERT_EQ(cap.ckpt.buffer.Get(4)->size(), 1u);
-  EXPECT_EQ(cap.ckpt.buffer.Get(4)->front().timestamp, 30);
-  ASSERT_NE(cap.ckpt.buffer.Get(5), nullptr);
-  EXPECT_EQ(cap.ckpt.buffer.Get(5)->size(), 1u);
-  EXPECT_EQ(cap.ckpt.buffer.Get(6), nullptr);
+  // The shipped charge is ByteSize(): the buffered tuples' wire bytes are
+  // part of it.
+  const core::StateCheckpoint ckpt = h.inst->MakeCheckpoint();
+  core::StateCheckpoint without_buffer = ckpt;
+  without_buffer.buffer = core::BufferState();
+  EXPECT_EQ(without_buffer.ByteSize() + live.ByteSize(), ckpt.ByteSize());
 }
 
-TEST(CaptureTest, MaterializeIsIdempotent) {
-  const core::BufferState live = MakeLive();
-  CheckpointCapture cap = DeltaCapture(live);
-  MaterializeCaptureBuffer(live, &cap);
-  const std::vector<uint8_t> once = EncodeDirect(cap.ckpt);
-  MaterializeCaptureBuffer(live, &cap);
-  EXPECT_EQ(once, EncodeDirect(cap.ckpt));
+TEST(CaptureTest, DeltaCaptureTakesUnshippedSuffix) {
+  CaptureHarness h;
+  core::BufferState& live = h.inst->buffer_state();
+  live.Append(4, MakeTuple(10, "alpha"));
+  live.Append(4, MakeTuple(20, "beta"));
+  live.buffers()[6];
+  const core::StateCheckpoint base = h.inst->MakeCheckpoint();
+
+  // Op 4 gains one tuple past the shipped position; op 5 appears and was
+  // never shipped; op 6 stays empty.
+  live.Append(4, MakeTuple(30, "gamma"));
+  live.Append(5, MakeTuple(15, "delta"));
+  const core::StateCheckpoint delta = h.inst->MakeDeltaCheckpoint();
+
+  EXPECT_TRUE(delta.is_delta);
+  EXPECT_EQ(delta.base_seq, base.seq);
+  EXPECT_EQ(delta.seq, base.seq + 1);
+  ASSERT_NE(delta.buffer.Get(4), nullptr);
+  ASSERT_EQ(delta.buffer.Get(4)->size(), 1u);
+  EXPECT_EQ(delta.buffer.Get(4)->front().timestamp, 30);
+  ASSERT_NE(delta.buffer.Get(5), nullptr);
+  EXPECT_EQ(delta.buffer.Get(5)->size(), 1u);
+  // Deltas skip downstreams with nothing new, but carry every buffer front
+  // so the holder can mirror trims.
+  EXPECT_EQ(delta.buffer.Get(6), nullptr);
+  EXPECT_EQ(delta.buffer_front.size(), 3u);
+  EXPECT_EQ(delta.buffer_front.at(4), 10);
 }
 
-// ------------------------------------------------------ streaming encode
-
-TEST(StreamingEncodeTest, FullCaptureMatchesMaterializedEncodeByteForByte) {
-  const core::BufferState live = MakeLive();
-  const CheckpointCapture cap = FullCapture(live);
-
-  serde::Encoder streamed;
-  EncodeCapturedCheckpoint(live, cap, &streamed);
-
-  CheckpointCapture materialized = cap;
-  MaterializeCaptureBuffer(live, &materialized);
-  EXPECT_EQ(streamed.buffer(), EncodeDirect(materialized.ckpt));
-  EXPECT_EQ(CapturedEncodedSize(cap), streamed.size());
-  EXPECT_EQ(CapturedEncodedSize(cap), materialized.ckpt.EncodedSize());
-}
-
-TEST(StreamingEncodeTest, DeltaCaptureMatchesMaterializedEncodeByteForByte) {
-  const core::BufferState live = MakeLive();
-  const CheckpointCapture cap = DeltaCapture(live);
-
-  serde::Encoder streamed;
-  EncodeCapturedCheckpoint(live, cap, &streamed);
-
-  CheckpointCapture materialized = cap;
-  MaterializeCaptureBuffer(live, &materialized);
-  EXPECT_EQ(streamed.buffer(), EncodeDirect(materialized.ckpt));
-  EXPECT_EQ(CapturedEncodedSize(cap), streamed.size());
-}
-
-TEST(StreamingEncodeTest, StreamedBytesDecodeToTheCapturedCheckpoint) {
-  const core::BufferState live = MakeLive();
-  const CheckpointCapture cap = DeltaCapture(live);
-  serde::Encoder streamed;
-  EncodeCapturedCheckpoint(live, cap, &streamed);
-
-  serde::Decoder dec(streamed.buffer());
-  auto decoded = core::StateCheckpoint::Decode(&dec);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded.value().instance, 11u);
-  EXPECT_EQ(decoded.value().seq, 7u);
-  EXPECT_TRUE(decoded.value().is_delta);
-  EXPECT_EQ(decoded.value().base_seq, 6u);
-  EXPECT_EQ(decoded.value().buffer.TotalTuples(), 2u);
-  EXPECT_EQ(decoded.value().buffer_front.size(), 3u);
+TEST(CaptureTest, DeltaWithNothingNewCarriesNoTuples) {
+  CaptureHarness h;
+  core::BufferState& live = h.inst->buffer_state();
+  live.Append(4, MakeTuple(10, "alpha"));
+  live.Append(5, MakeTuple(15, "delta"));
+  (void)h.inst->MakeCheckpoint();
+  const core::StateCheckpoint first = h.inst->MakeDeltaCheckpoint();
+  const core::StateCheckpoint second = h.inst->MakeDeltaCheckpoint();
+  EXPECT_EQ(first.buffer.TotalTuples(), 0u);
+  EXPECT_EQ(second.buffer.TotalTuples(), 0u);
+  EXPECT_EQ(second.base_seq, first.seq);
+  // Capturing never touches the live buffer itself.
+  EXPECT_EQ(live.TotalTuples(), 2u);
 }
 
 // ---------------------------------------------------------- frame building
@@ -213,9 +160,7 @@ CkptSerializer::Job JobWithSnapshot(core::StateCheckpoint snapshot) {
   CkptSerializer::Job job;
   job.owner = snapshot.instance;
   job.owner_op = snapshot.op;
-  job.vm = 1;
   job.seq = snapshot.seq;
-  job.captured_at = snapshot.taken_at;
   job.snapshot = std::move(snapshot);
   return job;
 }
@@ -445,7 +390,9 @@ struct PipelineOutcome {
   uint64_t wire_bytes = 0;
 };
 
-PipelineOutcome RunWordCount(bool async) {
+PipelineOutcome RunWordCount(bool async,
+                             BackupDurability durability =
+                                 BackupDurability::kMemory) {
   workloads::wordcount::WordCountConfig wc;
   wc.rate_tuples_per_sec = 100;
   wc.vocabulary = 500;
@@ -455,10 +402,9 @@ PipelineOutcome RunWordCount(bool async) {
   sps::SpsConfig config;
   config.cluster.checkpoint_interval = SecondsToSim(3);
   config.cluster.async_checkpoints = async;
-  // Tiny chunks so multi-chunk shipping and reassembly actually run.
-  config.cluster.checkpoint_chunk_bytes = 512;
+  config.cluster.backup_durability = durability;
   // Full audit with the abort-on-violation default: any violated invariant
-  // (chunk-reassembly included) kills the test.
+  // kills the test.
   config.cluster.audit_level = verify::kAuditExpensive;
   config.cluster.pool.target_size = 4;
   config.scaling.enabled = false;
@@ -486,19 +432,19 @@ TEST(AsyncPipelineEndToEnd, MatchesSynchronousResultsUnderFullAudit) {
   const PipelineOutcome sync = RunWordCount(false);
   const PipelineOutcome async = RunWordCount(true);
 
-  // The async pipeline really ran: captures went through the background
-  // serializer and frames arrived in (multiple) chunks; nothing was lost
-  // to corruption and nothing needed aborting in a failure-free run.
+  // The async path really ran, and nothing needed aborting in a
+  // failure-free run.
   EXPECT_EQ(sync.async_captures, 0u);
   EXPECT_GT(async.async_captures, 5u);
-  EXPECT_GT(async.async_chunks, async.async_captures);
   EXPECT_EQ(async.aborted, 0u);
-  EXPECT_EQ(async.decode_failures, 0u);
   EXPECT_GT(async.checkpoints_taken, 0u);
 
-  // Compression earned its place on the wire.
-  EXPECT_GT(async.raw_bytes, 0u);
-  EXPECT_LT(async.wire_bytes, async.raw_bytes);
+  // The simulator ships checkpoints as objects: no chunk stream, and no
+  // bytes produced while no durable tier stores them.
+  EXPECT_EQ(async.async_chunks, 0u);
+  EXPECT_EQ(async.decode_failures, 0u);
+  EXPECT_EQ(sync.raw_bytes, 0u);
+  EXPECT_EQ(async.raw_bytes, 0u);
 
   // Same results: windows are event-time keyed, so moving serialization off
   // the processing path cannot change their contents.
@@ -506,94 +452,53 @@ TEST(AsyncPipelineEndToEnd, MatchesSynchronousResultsUnderFullAudit) {
   EXPECT_EQ(sync.counts, async.counts);
 }
 
-// ------------------------------------------------- serializer concurrency
+TEST(AsyncShipAbort, SuspendDuringPauseAbortsEvenIfResumedWithinDelay) {
+  // An asynchronous checkpoint whose owner is suspended while the
+  // checkpoint job's pause runs must abort when the pause ends. Resuming
+  // inside the serialization delay must not let the pre-suspension
+  // snapshot ship: its trim acks would drop tuples the scale-out's restore
+  // point still needs.
+  ClusterConfig config;
+  config.async_checkpoints = true;
+  config.checkpoint_interval = SecondsToSim(1000);  // no periodic ones
+  // Empty processing state counts 64 B = 1/16 KiB: a 10 ms pause, then a
+  // 100 ms serialization delay.
+  config.capture_cost_us_per_kb = 160'000.0;
+  config.serialize_cost_us_per_kb = 1'600'000.0;
+  workloads::wordcount::WordCountQuery query =
+      workloads::wordcount::BuildWordCountQuery({});
+  Cluster cluster(&query.graph, config);
+  control::DeploymentManager deployer(&cluster);
+  ASSERT_TRUE(deployer.DeployAll().ok());
+  OperatorInstance* inst =
+      cluster.GetInstance(cluster.LiveInstancesOf(query.counter).at(0));
 
-// A threaded serializer with an inert completion callback, for lifecycle
-// and thread-affinity tests. Constructing the Simulation adopts the
-// DriverThread role for the calling thread.
-struct ThreadedSerializerHarness {
-  sim::Simulation sim;
-  CkptSerializer serializer{&sim,
-                            /*threaded=*/true,
-                            /*compress=*/true,
-                            /*pump_interval=*/MillisToSim(1),
-                            [](const core::StateCheckpoint&) {
-                              return SimTime{0};
-                            },
-                            [](SerializedCkptFrame) {}};
-};
+  JobScheduler::Job job;
+  job.kind = JobScheduler::Job::Kind::kCheckpoint;
+  inst->EnqueueJob(std::move(job));
+  sim::Simulation* sim = cluster.simulation();
+  sim->Schedule(MillisToSim(5), [inst]() { inst->SuspendCheckpoints(); });
+  sim->Schedule(MillisToSim(20), [inst]() { inst->ResumeCheckpoints(); });
+  sim->RunUntil(sim->Now() + MillisToSim(500));
 
-TEST(SerializerLifecycleTest, DestructorJoinsBusyWorkersUnderTheLock) {
-  // Regression for the destructor that iterated the mu_-guarded workers_
-  // map without the lock while worker threads were still publishing their
-  // last frames (lint rule: every workers_ access holds mu_; the TSan CI
-  // job fails here if the unlocked iteration comes back). Destroying the
-  // serializer with deep per-VM queues exercises the shutdown handshake
-  // while every worker is mid-frame.
-  for (int round = 0; round < 5; ++round) {
-    ThreadedSerializerHarness harness;
-    for (uint64_t i = 0; i < 40; ++i) {
-      CkptSerializer::Job job = JobWithSnapshot(CompressibleSnapshot());
-      job.vm = 1 + (i % 4);
-      job.seq = i;
-      harness.serializer.Submit(std::move(job));
-    }
-    // Destructor runs here: stop flags flipped and threads moved out under
-    // mu_, joined outside it.
-  }
+  EXPECT_FALSE(inst->checkpoints_suspended());
+  EXPECT_EQ(cluster.metrics()->async_ckpts_aborted, 1u);
+  EXPECT_EQ(cluster.metrics()->async_ckpt_captures, 0u);
+  EXPECT_EQ(cluster.metrics()->checkpoints_taken, 0u);
+  EXPECT_FALSE(cluster.backups()->LatestSeq(inst->id()).has_value());
 }
 
-TEST(SerializerAffinityDeathTest, SubmitOffTheDriverThreadAborts) {
-  // Submit mutates driver-confined accounting (outstanding_,
-  // pump_scheduled_) before taking mu_; calling it from a worker or loop
-  // thread must abort naming the missing role, not corrupt the counters
-  // (rule: serializer entry points are SEEP_RUN_ON(DriverThread)).
-  testing::FLAGS_gtest_death_test_style = "threadsafe";
-  ThreadedSerializerHarness harness;
-  EXPECT_DEATH(
-      {
-        std::thread t([&] {
-          harness.serializer.Submit(JobWithSnapshot(CompressibleSnapshot()));
-        });
-        t.join();
-      },
-      "thread-affinity violation.*DriverThread");
-}
-
-TEST(SerializerLifecycleTest, DrainAfterHeavySubmitDeliversEveryFrame) {
-  // The done-queue drain runs on the driver thread via Pump (the satellite
-  // fix: completions must re-enter through the polled queue, never fire on
-  // the worker). RunUntil pumps until every submitted frame lands.
-  sim::Simulation sim;
-  size_t delivered = 0;
-  CkptSerializer serializer(
-      &sim, /*threaded=*/true, /*compress=*/false,
-      /*pump_interval=*/MillisToSim(1),
-      [](const core::StateCheckpoint&) { return SimTime{0}; },
-      [&](SerializedCkptFrame frame) {
-        ++delivered;
-        EXPECT_FALSE(frame.frame.empty());
-      });
-  constexpr uint64_t kJobs = 25;
-  for (uint64_t i = 0; i < kJobs; ++i) {
-    CkptSerializer::Job job = JobWithSnapshot(CompressibleSnapshot());
-    job.vm = 1 + (i % 3);
-    job.seq = i;
-    serializer.Submit(std::move(job));
+TEST(CheckpointBytesMetric, CountedAtTheDurableAppendInBothModes) {
+  // The frame bytes metrics count where bytes are really produced. On the
+  // sim backend that is the durable append, which happens in both modes.
+  for (const bool async : {false, true}) {
+    SCOPED_TRACE(async ? "async" : "sync");
+    const PipelineOutcome out = RunWordCount(async, BackupDurability::kDisk);
+    EXPECT_GT(out.checkpoints_taken, 0u);
+    EXPECT_GT(out.raw_bytes, 0u);
+    // The durable tier compresses when that makes the record smaller.
+    EXPECT_LT(out.wire_bytes, out.raw_bytes);
   }
-  // Real worker threads race the simulated pump clock, and simulated
-  // milliseconds cost ~nothing in wall time — a spin counter alone can
-  // burn through every pump before the OS has even scheduled the workers.
-  // Pace the drain against a generous real-time deadline instead.
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::seconds(30);
-  while (serializer.in_flight() > 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    sim.RunUntil(sim.Now() + MillisToSim(1));
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-  }
-  EXPECT_EQ(serializer.in_flight(), 0u);
-  EXPECT_EQ(delivered, kJobs);
 }
 
 }  // namespace

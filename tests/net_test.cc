@@ -161,7 +161,7 @@ TEST(FrameReaderTest, ReassemblesAcrossEveryChunkBoundary) {
 
 TEST(FrameReaderTest, ByteByByteFeed) {
   Message m;
-  m.type = MessageType::kCheckpoint;
+  m.type = MessageType::kCheckpointChunk;
   m.from_vm = 3;
   m.to_vm = 4;
   m.body = {9, 8, 7, 6, 5};
@@ -184,6 +184,21 @@ TEST(FrameReaderTest, CorruptPayloadIsStickyError) {
   std::vector<std::vector<uint8_t>> payloads;
   EXPECT_FALSE(reader.Consume(stream.data(), stream.size(), &payloads).ok());
   EXPECT_TRUE(payloads.empty());
+}
+
+TEST(WireTest, RetiredMessageTypeIsRejected) {
+  // Value 3 carried whole checkpoints before they moved to chunk streams;
+  // a message still using it must fail to decode, not alias another type.
+  Message m;
+  m.type = MessageType::kBatch;
+  m.body = {1, 2, 3};
+  std::vector<uint8_t> stream = FrameOf(m);
+  auto payload = serde::UnframePayload(stream);
+  ASSERT_TRUE(payload.ok());
+  std::vector<uint8_t> bytes = payload.value();
+  ASSERT_TRUE(DecodeMessage(bytes).ok());
+  bytes[0] = 3;
+  EXPECT_FALSE(DecodeMessage(bytes).ok());
 }
 
 TEST(FrameReaderTest, OversizedDeclaredLengthRejectedEarly) {

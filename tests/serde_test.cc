@@ -150,6 +150,33 @@ TEST(Crc32cTest, IncrementalMatchesOneShot) {
   EXPECT_EQ(oneshot, incremental);
 }
 
+TEST(Crc32cTest, MatchesBytewiseReferenceAtEveryLengthAndOffset) {
+  // The bit-at-a-time definition of CRC-32C, against which the
+  // eight-bytes-at-a-time implementation must agree on every tail length
+  // and every start alignment.
+  auto reference = [](const uint8_t* p, size_t n, uint32_t init) {
+    uint32_t crc = ~init;
+    for (size_t i = 0; i < n; ++i) {
+      crc ^= p[i];
+      for (int b = 0; b < 8; ++b) {
+        crc = (crc >> 1) ^ ((crc & 1) ? 0x82F63B78u : 0);
+      }
+    }
+    return ~crc;
+  };
+  std::vector<uint8_t> data(96);
+  for (size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<uint8_t>(i * 131 + 7);
+  }
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t n = 0; offset + n <= data.size(); ++n) {
+      ASSERT_EQ(Crc32c(data.data() + offset, n, 0x1234u),
+                reference(data.data() + offset, n, 0x1234u))
+          << "offset " << offset << " length " << n;
+    }
+  }
+}
+
 TEST(Crc32cTest, DetectsSingleBitFlip) {
   std::vector<uint8_t> data(100, 0x5A);
   const uint32_t good = Crc32c(data.data(), data.size());

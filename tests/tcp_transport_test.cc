@@ -216,14 +216,14 @@ TEST(TcpTransportIntegration, DetachMidFlightKeepsPumpAccountingCoherent) {
 }
 
 TEST(TcpTransportIntegration, AsyncPipelineMatchesSimBackend) {
-  // Async checkpointing over TCP: captures serialize on real per-VM worker
-  // threads and frames cross loopback sockets in small chunks. Stable
+  // Async checkpointing over TCP: captures serialize after their modeled
+  // delay and frames cross loopback sockets in small chunks. Stable
   // windows must still match the synchronous sim reference exactly, with
   // the level-2 auditor (chunk-reassembly included) silent.
   const WordCountConfig wc = BaseWorkload();
   sps::SpsConfig config = BaseConfig(runtime::TransportKind::kTcp);
   config.cluster.async_checkpoints = true;
-  config.cluster.checkpoint_chunk_bytes = 4096;
+  config.cluster.tcp.checkpoint_chunk_bytes = 4096;
   config.cluster.audit_level = verify::kAuditExpensive;
 
   RunOutcome sim =
@@ -240,34 +240,36 @@ TEST(TcpTransportIntegration, AsyncPipelineMatchesSimBackend) {
   EXPECT_EQ(tcp.audit_violations, 0u);
 }
 
-TEST(TcpTransportIntegration, AsyncFailureMidChunkStreamRecoversExactly) {
-  // Hard-kill the stateful counter's VM while async checkpoint frames are
+TEST(TcpTransportIntegration, FailureMidChunkStreamRecoversExactly) {
+  // Hard-kill the stateful counter's VM while checkpoint frames are
   // streaming in small chunks: sockets die mid-stream, partial chunk
   // streams must be superseded rather than stored, and recovery from the
-  // last complete backup must stay exactly-once under the full audit.
+  // last complete backup must stay exactly-once under the full audit. Both
+  // modes take the chunk path on TCP, so both run.
   const WordCountConfig wc = BaseWorkload();
-  sps::SpsConfig config = BaseConfig(runtime::TransportKind::kTcp);
-  config.cluster.async_checkpoints = true;
-  config.cluster.checkpoint_chunk_bytes = 4096;
-  config.cluster.audit_level = verify::kAuditExpensive;
-
   RunOutcome baseline =
       RunQuery(wc, BaseConfig(runtime::TransportKind::kSim), 150);
-  RunOutcome with_failure = RunQuery(wc, config, 150, [](sps::Sps& sps) {
-    sps.InjectFailure(/*counter op id=*/2, /*at_seconds=*/47);
-  });
-
-  EXPECT_EQ(with_failure.recoveries_completed, 1u);
-  EXPECT_GE(with_failure.disconnects_observed, 1u);
-
   const auto expected = StableWindows(baseline.counts, 3);
-  const auto actual = StableWindows(with_failure.counts, 3);
   EXPECT_FALSE(expected.empty());
-  EXPECT_EQ(expected, actual);
-  for (const auto& v : with_failure.violations) {
-    ADD_FAILURE() << "audit violation " << v.invariant << ": " << v.detail;
+
+  for (const bool async : {false, true}) {
+    SCOPED_TRACE(async ? "async" : "sync");
+    sps::SpsConfig config = BaseConfig(runtime::TransportKind::kTcp);
+    config.cluster.async_checkpoints = async;
+    config.cluster.tcp.checkpoint_chunk_bytes = 4096;
+    config.cluster.audit_level = verify::kAuditExpensive;
+    RunOutcome with_failure = RunQuery(wc, config, 150, [](sps::Sps& sps) {
+      sps.InjectFailure(/*counter op id=*/2, /*at_seconds=*/47);
+    });
+
+    EXPECT_EQ(with_failure.recoveries_completed, 1u);
+    EXPECT_GE(with_failure.disconnects_observed, 1u);
+    EXPECT_EQ(expected, StableWindows(with_failure.counts, 3));
+    for (const auto& v : with_failure.violations) {
+      ADD_FAILURE() << "audit violation " << v.invariant << ": " << v.detail;
+    }
+    EXPECT_EQ(with_failure.audit_violations, 0u);
   }
-  EXPECT_EQ(with_failure.audit_violations, 0u);
 }
 
 TEST(TcpTransportIntegration, HolderDeathMidShipCompensatesOverTcp) {

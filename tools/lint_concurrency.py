@@ -63,7 +63,6 @@ THREADED_TUS = (
     "src/net/worker.h",
     "src/net/endpoint.h",
     "src/net/local_cluster.h",
-    "src/runtime/ckpt_pipeline.h",
     "src/runtime/tcp_transport.h",
     "src/runtime/tcp_transport.cc",
     "src/store/checkpoint_log.h",

@@ -23,10 +23,9 @@ reconfiguration plane and the durable checkpoint store:
     implementations (src/runtime/transport.* and tcp_transport.*) may
     include net/ headers. Everything else reaches the network through
     the runtime::Transport seam, keeping the sim path byte-identical.
-  * ckpt-worker-no-net: the checkpoint pipeline's background worker code
-    (src/runtime/ckpt_*) must not include net/ headers. Serialization
-    workers run off the driver thread and hand frames back through the
-    Transport seam; a worker writing sockets directly would bypass both
+  * ckpt-worker-no-net: the checkpoint frame codec (src/runtime/ckpt_*)
+    must not include net/ headers. Frames reach a socket only through
+    TcpTransport; codec code writing sockets directly would bypass both
     the per-link FIFO the chunk protocol assumes and the audit hooks.
   * store-isolation: src/store/ is a storage-engine leaf; it may include
     only serde/ (framing, crc, compression) and common/. The log knows
@@ -163,7 +162,7 @@ def lint_tree(src_root):
                     and inc.startswith("net/"):
                 violations.append((
                     "ckpt-worker-no-net", where,
-                    "checkpoint pipeline worker code must not touch net/ "
+                    "the checkpoint frame codec must not touch net/ "
                     "directly; frames reach the wire through the "
                     "runtime::Transport seam"))
             if layer != "net" and inc.startswith("net/") \
