@@ -54,8 +54,9 @@ std::unique_ptr<CheckpointLog> MustOpen(CheckpointLogConfig config) {
   return std::move(log).value();
 }
 
-/// A deterministic framed checkpoint payload, as the reassembler hands it
-/// to the log: [length | crc32c | bytes].
+/// A deterministic framed checkpoint payload, shaped like the
+/// CkptSerializer::BuildFrame output BackupStore appends to the log:
+/// [length | crc32c | bytes].
 std::vector<uint8_t> FramedPayload(uint64_t salt, size_t inner_size) {
   std::vector<uint8_t> inner(inner_size);
   for (size_t i = 0; i < inner_size; ++i) {

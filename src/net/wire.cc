@@ -10,8 +10,8 @@
 namespace seep::net {
 namespace {
 
-// The retired whole-checkpoint message type; a peer sending it speaks a
-// protocol this build no longer understands.
+// The retired message type of an older checkpoint format; a peer sending
+// it speaks a protocol this build no longer understands.
 constexpr uint8_t kRetiredCheckpointType = 3;
 
 }  // namespace
@@ -33,7 +33,7 @@ Result<Message> DecodeMessage(const std::vector<uint8_t>& payload) {
   Message msg;
   SEEP_ASSIGN_OR_RETURN(const uint8_t type, dec.ReadU8());
   if (type < static_cast<uint8_t>(MessageType::kHello) ||
-      type > static_cast<uint8_t>(MessageType::kCheckpointChunk) ||
+      type > static_cast<uint8_t>(MessageType::kCheckpoint) ||
       type == kRetiredCheckpointType) {
     return Status::Corruption("unknown wire message type");
   }

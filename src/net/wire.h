@@ -14,12 +14,12 @@ namespace seep::net {
 /// opaque to net/: the transport layer above encodes tuple batches and
 /// checkpoints with the core codecs, net/ only moves envelopes.
 enum class MessageType : uint8_t {
-  kHello = 1,      // first frame on every outbound link: identifies from_vm
-  kBatch = 2,      // a tuple batch (data path)
-                   // 3 is retired (whole-checkpoint message); never reuse it
-  kStateShip = 4,  // bulk state shipping (scale out / recovery)
-  kControl = 5,    // free-form control messages
-  kCheckpointChunk = 6,  // one chunk of a serialized checkpoint frame
+  kHello = 1,       // first frame on every outbound link: identifies from_vm
+  kBatch = 2,       // a tuple batch (data path)
+                    // 3 is retired (an older checkpoint format); never reuse
+  kStateShip = 4,   // bulk state shipping (scale out / recovery)
+  kControl = 5,     // free-form control messages
+  kCheckpoint = 6,  // one whole checkpoint, owner and holder ids first
 };
 
 /// One message between two VM workers: a typed envelope plus an opaque body.

@@ -11,6 +11,10 @@
 namespace seep::runtime {
 namespace {
 
+// Every this-many-th checkpoint of an incremental-capable operator is a full
+// resync, bounding staleness after any failed delta apply.
+constexpr uint64_t kFullCheckpointEvery = 12;
+
 // Processing-state KiB the modeled checkpoint CPU costs scale with.
 double StateKib(const core::StateCheckpoint& ckpt) {
   return static_cast<double>(ckpt.processing.ByteSize() + 64) / 1024.0;
@@ -161,10 +165,7 @@ bool CheckpointPlane::CanCheckpointIncrementally() const {
     return false;
   }
   // Periodic full resync bounds staleness after any failed delta apply.
-  if (config.full_checkpoint_every > 0 &&
-      (ckpt_seq_ + 1) % config.full_checkpoint_every == 0) {
-    return false;
-  }
+  if ((ckpt_seq_ + 1) % kFullCheckpointEvery == 0) return false;
   // The stored base must be at this sequence and at the holder Algorithm 1
   // would pick now (upstream repartitioning moves the holder). Find, not
   // Retrieve: this runs before every checkpoint and must not copy the base.

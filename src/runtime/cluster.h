@@ -11,7 +11,6 @@
 #include "core/query_graph.h"
 #include "core/state.h"
 #include "runtime/backup_store.h"
-#include "runtime/ckpt_pipeline.h"
 #include "runtime/fence_registry.h"
 #include "runtime/membership.h"
 #include "runtime/metrics.h"
@@ -51,10 +50,6 @@ struct ClusterConfig {
 
   TransportKind transport = TransportKind::kSim;
   TcpTransportConfig tcp;
-  /// How long an instance throttles its job scheduler after SendBatch
-  /// reports outbound queue pressure (TCP backend only; the sim backend
-  /// never reports pressure). 0 disables throttling.
-  SimTime backpressure_pause = MillisToSim(5);
 
   FaultToleranceMode ft_mode = FaultToleranceMode::kStateManagement;
   /// Checkpointing interval c (paper §3.2); R+SM only.
@@ -100,10 +95,9 @@ struct ClusterConfig {
 
   /// Incremental checkpointing (paper §3.2 / [17]): operators that support
   /// dirty-key tracking ship only state deltas; the backup holder applies
-  /// them onto its stored full copy. Every `full_checkpoint_every`-th
-  /// checkpoint is a full resync.
+  /// them onto its stored full copy. Every 12th checkpoint is a full
+  /// resync (CheckpointPlane).
   bool incremental_checkpoints = false;
-  uint32_t full_checkpoint_every = 12;
 
   /// Protocol invariant auditing (src/verify/): 0 off, 1 cheap per-event
   /// checks, 2 adds per-tuple and whole-table sweeps. Defaults to the
@@ -154,9 +148,6 @@ class Cluster {
   /// Replay-fence registration and delivery.
   FenceRegistry* fences() { return &fences_; }
 
-  /// Holder-side reassembly of chunked checkpoint frames (TCP wire).
-  CkptChunkReassembler* ckpt_reassembler() { return &ckpt_reassembler_; }
-
   /// The protocol invariant auditor, or null when auditing is off. Every
   /// component hook guards on this pointer, so audit-off deployments pay one
   /// branch per hook site.
@@ -170,10 +161,8 @@ class Cluster {
                      std::vector<core::RoutingState::Route> routes);
 
   /// The single choke point for deleting a backup: drops the in-memory
-  /// entry, tombstones the durable log (kDisk/kTiered), and makes the chunk
-  /// reassembler forget the owner's partial streams in the same step — so a
-  /// dropped partial stream and a tombstone can never disagree about
-  /// whether the owner still stores.
+  /// entry and tombstones the durable log (kDisk/kTiered) in one step, so
+  /// the two tiers can never disagree about whether the owner still stores.
   void DeleteBackup(InstanceId owner);
 
   /// The durable checkpoint log, or null in kMemory mode.
@@ -229,7 +218,6 @@ class Cluster {
   Membership membership_;
   FenceRegistry fences_;
   std::unique_ptr<Transport> transport_;
-  CkptChunkReassembler ckpt_reassembler_;
   std::unique_ptr<verify::InvariantAuditor> auditor_;
 };
 

@@ -119,22 +119,23 @@ class MetricsRegistry {
   SampleDistribution ckpt_e2e_ms{1 << 16, /*seed=*/13};
   /// Async captures whose serialization delay started.
   uint64_t async_ckpt_captures = 0;
-  /// Checkpoint chunks delivered at backup holders (TCP wire only).
-  uint64_t async_ckpt_chunks = 0;
   /// Checkpoints aborted at ship time (owner died/stopped/suspended), in
   /// either mode.
   uint64_t async_ckpts_aborted = 0;
-  /// Checkpoint frame bytes actually produced — at the durable append and
-  /// on the TCP wire — before / after compression.
+  /// Checkpoint bytes actually produced. At the durable append: the
+  /// encoded checkpoint / its frame after compression. On the TCP wire:
+  /// the encoded checkpoint / the whole kCheckpoint message body.
   uint64_t ckpt_raw_bytes = 0;
   uint64_t ckpt_wire_bytes = 0;
-  /// Reassembled TCP frames dropped for failing crc/decompress/decode.
+  /// kCheckpoint message bodies the TCP pump dropped because they failed
+  /// to decode or had bytes left over.
   uint64_t ckpt_decode_failures = 0;
-  /// Wire messages the TCP pump dropped because their body failed to
-  /// decode. The frame already passed the net layer's crc32c, so these
-  /// are encode/decode logic divergence, never line noise — silently
-  /// swallowing them is how a protocol bug becomes unexplained data
-  /// loss (enum-switch-exhaustiveness / unchecked-status discipline).
+  /// Batch messages the TCP pump dropped because their body failed to
+  /// decode (checkpoint bodies count in ckpt_decode_failures). The frame
+  /// already passed the net layer's crc32c, so these are encode/decode
+  /// logic divergence, never line noise — silently swallowing them is how
+  /// a protocol bug becomes unexplained data loss
+  /// (enum-switch-exhaustiveness / unchecked-status discipline).
   uint64_t wire_decode_failures = 0;
 
   /// Sampling stride for latency_series_ms (1 sample per N sink tuples).

@@ -8,6 +8,14 @@
 #include "runtime/cluster.h"
 
 namespace seep::runtime {
+namespace {
+
+// How long an instance throttles its job scheduler after SendBatch reports
+// outbound queue pressure (TCP backend only; the sim backend never reports
+// pressure).
+constexpr SimTime kBackpressurePause = MillisToSim(5);
+
+}  // namespace
 
 // Gathers the emissions of one Process/OnTimer invocation together with the
 // per-emission suppression flag (catch-up suppression applies per input
@@ -111,7 +119,7 @@ void OperatorInstance::EnqueueJob(JobScheduler::Job job) {
 }
 
 void OperatorInstance::OnSendPressure() {
-  scheduler_.ThrottleFor(cluster_->config().backpressure_pause);
+  scheduler_.ThrottleFor(kBackpressurePause);
 }
 
 // ------------------------------------------------------------------ job hooks

@@ -4,11 +4,15 @@
 #include <atomic>
 #include <chrono>
 #include <deque>
+#include <limits>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "common/logging.h"
+#include "common/macros.h"
 #include "common/sync.h"
+#include "common/time.h"
 #include "net/local_cluster.h"
 #include "net/wire.h"
 #include "runtime/backup_protocol.h"
@@ -18,6 +22,43 @@
 #include "serde/encoder.h"
 
 namespace seep::runtime {
+namespace {
+
+// Sim interval between inbox pumps: how often deliveries that arrived on
+// worker threads re-enter the (single-threaded) simulated runtime.
+constexpr SimTime kPumpInterval = MillisToSim(1);
+// Bulk state shipping sends min(logical size, this cap) of real filler
+// bytes; the logical size still travels in the message.
+constexpr uint64_t kShipPayloadCap = 1u << 20;
+
+/// A kCheckpoint message body: varint owner | varint holder |
+/// StateCheckpoint::Encode.
+struct CheckpointBody {
+  InstanceId owner = kInvalidInstance;
+  InstanceId holder = kInvalidInstance;
+  core::StateCheckpoint ckpt;
+};
+
+[[nodiscard]] Result<CheckpointBody> DecodeCheckpointBody(
+    const std::vector<uint8_t>& bytes) {
+  serde::Decoder dec(bytes);
+  CheckpointBody body;
+  SEEP_ASSIGN_OR_RETURN(const uint64_t owner, dec.ReadVarint64());
+  SEEP_ASSIGN_OR_RETURN(const uint64_t holder, dec.ReadVarint64());
+  constexpr uint64_t kMaxId = std::numeric_limits<InstanceId>::max();
+  if (owner > kMaxId || holder > kMaxId) {
+    return Status::Corruption("checkpoint owner/holder id out of range");
+  }
+  body.owner = static_cast<InstanceId>(owner);
+  body.holder = static_cast<InstanceId>(holder);
+  SEEP_ASSIGN_OR_RETURN(body.ckpt, core::StateCheckpoint::Decode(&dec));
+  if (!dec.AtEnd()) {
+    return Status::Corruption("trailing bytes after the checkpoint");
+  }
+  return body;
+}
+
+}  // namespace
 
 /// Everything shared between the sim driver thread and the worker threads.
 /// Invariant: `in_flight[vm]` over-approximates messages addressed to `vm`
@@ -26,9 +67,8 @@ namespace seep::runtime {
 /// definition) and decrements are clamped, so the pump's bounded wait can
 /// never wedge on a lost frame.
 struct TcpTransport::Impl {
-  explicit Impl(net::WorkerOptions options) : cluster(options) {}
-
-  net::LocalCluster cluster;
+  net::LocalCluster cluster
+      SEEP_UNGUARDED("internally synchronised; local_cluster.h");
 
   sync::Mutex mu;
   sync::CondVar cv;
@@ -79,12 +119,7 @@ struct TcpTransport::Impl {
 };
 
 TcpTransport::TcpTransport(Cluster* cluster, TcpTransportConfig config)
-    : cluster_(cluster), config_(config) {
-  net::WorkerOptions options;
-  options.queue_limits.pressure_bytes = config_.queue_pressure_bytes;
-  options.queue_limits.max_bytes = config_.queue_max_bytes;
-  options.max_frame_payload = config_.max_frame_bytes;
-  impl_ = std::make_unique<Impl>(options);
+    : cluster_(cluster), config_(config), impl_(std::make_unique<Impl>()) {
   SchedulePump();
 }
 
@@ -172,77 +207,23 @@ SendPressure TcpTransport::SendBatch(OperatorInstance* from, InstanceId to,
 
 void TcpTransport::SendCheckpoint(const CheckpointRoute& route,
                                   core::StateCheckpoint ckpt) {
-  CkptSerializer::Job job;
-  job.owner = route.owner;
-  job.owner_op = ckpt.op;
-  job.seq = ckpt.seq;
-  job.snapshot = std::move(ckpt);
-  const SerializedCkptFrame frame =
-      CkptSerializer::BuildFrame(job, /*compress=*/false);
+  net::Message msg;
+  msg.type = net::MessageType::kCheckpoint;
+  msg.from_vm = route.owner_vm;
+  msg.to_vm = route.holder_vm;
+  serde::Encoder enc;
+  enc.AppendVarint64(route.owner);
+  enc.AppendVarint64(route.holder);
+  const size_t header_bytes = enc.size();
+  ckpt.Encode(&enc);  // Encode reserves EncodedSize() exactly
+  msg.body = std::move(enc).TakeBuffer();
   MetricsRegistry* metrics = cluster_->metrics();
-  metrics->ckpt_raw_bytes += frame.raw_bytes;
-  metrics->ckpt_wire_bytes += frame.frame.size();
-
-  const size_t chunk_bytes =
-      std::max<size_t>(1, config_.checkpoint_chunk_bytes);
-  const size_t total = frame.frame.size();
-  CkptChunkHeader header;
-  header.owner = route.owner;
-  header.owner_op = frame.owner_op;
-  header.holder = route.holder;
-  header.seq = frame.seq;
-  header.count =
-      static_cast<uint32_t>((total + chunk_bytes - 1) / chunk_bytes);
-  header.frame_bytes = total;
-  header.raw_bytes = frame.raw_bytes;
-  header.compressed = frame.compressed;
-
-  // One kCheckpointChunk message per chunk. The per-link TCP stream is
-  // FIFO, so chunks arrive in index order at the holder's pump, but data
-  // batches posted between them interleave freely.
-  for (uint32_t i = 0; i < header.count; ++i) {
-    header.index = i;
-    const size_t begin = static_cast<size_t>(i) * chunk_bytes;
-    const size_t len = std::min(chunk_bytes, total - begin);
-    net::Message msg;
-    msg.type = net::MessageType::kCheckpointChunk;
-    msg.from_vm = route.owner_vm;
-    msg.to_vm = route.holder_vm;
-    serde::Encoder enc;
-    EncodeChunkHeader(header, &enc);
-    enc.Reserve(len);
-    enc.AppendRaw(frame.frame.data() + begin, len);
-    msg.body = std::move(enc).TakeBuffer();
-    // Pacing: the pump's bounded wait drains in-flight counts, so the
-    // backup path needs no pressure feedback.
-    // seep-ok: unchecked-status -- paced by in-flight accounting
-    (void)impl_->Ship(route.owner_vm, route.holder_vm, msg);
-  }
-}
-
-void TcpTransport::DeliverChunk(const CkptChunkHeader& header,
-                                const uint8_t* data, size_t n) {
-  SEEP_ASSERT_RUN_ON(sync::DriverThread);
-  MetricsRegistry* metrics = cluster_->metrics();
-  ++metrics->async_ckpt_chunks;
-  if (auto* audit = cluster_->audit()) {
-    audit->OnCheckpointChunk(header.owner, header.holder, header.seq,
-                             header.index, header.count, n,
-                             header.frame_bytes);
-  }
-  CkptChunkReassembler* reassembler = cluster_->ckpt_reassembler();
-  const auto frame = reassembler->OnChunk(header, data, n);
-  if (!frame.has_value()) return;
-  auto ckpt = CkptSerializer::DecodeFrame(*frame, header.raw_bytes,
-                                          header.compressed);
-  if (!ckpt.ok()) {
-    ++metrics->ckpt_decode_failures;
-    return;
-  }
-  // A completed frame supersedes any partial stream it outranks.
-  reassembler->ForgetThrough(header.owner, header.seq);
-  DeliverCheckpointToHolder(cluster_, header.owner, header.holder,
-                            std::move(ckpt).value());
+  metrics->ckpt_raw_bytes += msg.body.size() - header_bytes;
+  metrics->ckpt_wire_bytes += msg.body.size();
+  // Pacing: the pump's bounded wait drains in-flight counts, so the backup
+  // path needs no pressure feedback.
+  // seep-ok: unchecked-status -- paced by in-flight accounting
+  (void)impl_->Ship(route.owner_vm, route.holder_vm, msg);
 }
 
 void TcpTransport::ShipState(VmId from, VmId to, uint64_t size_bytes,
@@ -259,7 +240,7 @@ void TcpTransport::ShipState(VmId from, VmId to, uint64_t size_bytes,
   // Real bytes on the wire so bulk shipping exercises the stream path, but
   // capped: the logical size alone decides the protocol's behaviour.
   const size_t filler =
-      static_cast<size_t>(std::min(size_bytes, config_.ship_payload_cap));
+      static_cast<size_t>(std::min(size_bytes, kShipPayloadCap));
   enc.Reserve(filler);
   for (size_t i = 0; i < filler; ++i) enc.AppendU8(0xA5);
   msg.body = std::move(enc).TakeBuffer();
@@ -291,8 +272,7 @@ void TcpTransport::ShipState(VmId from, VmId to, uint64_t size_bytes,
 }
 
 void TcpTransport::SchedulePump() {
-  cluster_->simulation()->Schedule(config_.pump_interval,
-                                   [this]() { Pump(); });
+  cluster_->simulation()->Schedule(kPumpInterval, [this]() { Pump(); });
 }
 
 void TcpTransport::NoteWireDecodeFailure(const char* what,
@@ -340,16 +320,20 @@ void TcpTransport::Pump() {
         if (target != nullptr) target->OnBatch(std::move(batch).value());
         break;
       }
-      case net::MessageType::kCheckpointChunk: {
-        serde::Decoder dec(msg.body);
-        auto header = DecodeChunkHeader(&dec);
-        if (!header.ok()) {
-          NoteWireDecodeFailure("chunk header", header.status());
+      case net::MessageType::kCheckpoint: {
+        // A body that fails to decode is dropped: the owner's next
+        // checkpoint supersedes it, exactly like a message lost to a link
+        // failure.
+        auto decoded = DecodeCheckpointBody(msg.body);
+        if (!decoded.ok()) {
+          ++cluster_->metrics()->ckpt_decode_failures;
+          SEEP_LOG(kWarn, 0) << "dropping checkpoint message: "
+                             << decoded.status().message();
           break;
         }
-        const uint8_t* data = msg.body.data() + dec.position();
-        const size_t n = msg.body.size() - dec.position();
-        DeliverChunk(header.value(), data, n);
+        CheckpointBody& body = decoded.value();
+        DeliverCheckpointToHolder(cluster_, body.owner, body.holder,
+                                  std::move(body.ckpt));
         break;
       }
       case net::MessageType::kStateShip: {

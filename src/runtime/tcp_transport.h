@@ -4,8 +4,6 @@
 #include <cstdint>
 #include <memory>
 
-#include "common/time.h"
-#include "runtime/ckpt_pipeline.h"
 #include "runtime/transport.h"
 
 namespace seep::net {
@@ -16,22 +14,6 @@ namespace seep::runtime {
 
 /// Knobs for the TCP transport backend.
 struct TcpTransportConfig {
-  /// Sim interval between inbox pumps: how often deliveries that arrived on
-  /// worker threads re-enter the (single-threaded) simulated runtime.
-  SimTime pump_interval = MillisToSim(1);
-  /// Soft watermark on a sending worker's queued outbound bytes; above it
-  /// SendBatch reports kPressured and the sender throttles.
-  size_t queue_pressure_bytes = 4u << 20;
-  /// Hard cap: frames beyond it are dropped (replay recovers them, exactly
-  /// as after a crash).
-  size_t queue_max_bytes = 64u << 20;
-  /// Ceiling a receiver enforces on a frame's declared payload length.
-  uint64_t max_frame_bytes = 64ull << 20;
-  /// Bulk state shipping sends min(logical size, this cap) of real filler
-  /// bytes; the logical size still travels in the message.
-  uint64_t ship_payload_cap = 1u << 20;
-  /// Chunk size for checkpoint frames on the wire.
-  size_t checkpoint_chunk_bytes = 256u << 10;
   /// Longest wall-clock wait per pump for in-flight messages to land before
   /// sim time advances past them (bounds sim-time skew without letting a
   /// stalled link wedge the simulation).
@@ -56,11 +38,10 @@ class TcpTransport : public Transport {
   void DetachVm(VmId vm) override;
   SendPressure SendBatch(OperatorInstance* from, InstanceId to,
                          core::TupleBatch batch) override;
-  /// The only checkpoint sender that produces bytes: frames the checkpoint
-  /// with CkptSerializer::BuildFrame (crc32c, no compression — loopback
-  /// bandwidth is not worth the CPU) and posts it as a stream of
-  /// kCheckpointChunk messages of at most `checkpoint_chunk_bytes`, so
-  /// multi-MB checkpoints interleave with data batches on the link.
+  /// The only checkpoint sender that produces bytes: encodes
+  /// `owner | holder | checkpoint` straight into the body of one kCheckpoint
+  /// message. The wire envelope's crc32c and frame-size cap cover it; no
+  /// compression, because loopback bandwidth is not worth the CPU.
   void SendCheckpoint(const CheckpointRoute& route,
                       core::StateCheckpoint ckpt) override;
   void ShipState(VmId from, VmId to, uint64_t size_bytes,
@@ -82,14 +63,6 @@ class TcpTransport : public Transport {
 
   void Pump();
   void SchedulePump();
-
-  /// Holder-side arrival of one checkpoint chunk (driver thread): audits
-  /// the chunk stream, reassembles, and on completion decodes the frame
-  /// and delivers it through DeliverCheckpointToHolder. A frame that fails
-  /// to decode is dropped — the owner's next checkpoint supersedes it,
-  /// exactly like a frame lost to a link failure.
-  void DeliverChunk(const CkptChunkHeader& header, const uint8_t* data,
-                    size_t n);
 
   /// A wire body that fails to decode after passing the net layer's
   /// crc32c is protocol divergence: drop the message, but loudly —

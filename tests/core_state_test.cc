@@ -7,6 +7,8 @@
 #include "core/key_range.h"
 #include "core/state.h"
 #include "core/state_ops.h"
+#include "serde/decoder.h"
+#include "serde/encoder.h"
 
 namespace seep::core {
 namespace {
@@ -234,6 +236,29 @@ TEST(StateCheckpointTest, CorruptedWireRejected) {
   auto raw = MakeCheckpoint(2, 10).Serialize();
   raw[raw.size() / 2] ^= 0x80;
   EXPECT_FALSE(StateCheckpoint::Deserialize(raw).ok());
+}
+
+TEST(StateCheckpointTest, EveryStrictPrefixFailsToDecode) {
+  // TCP hands a checkpoint's bytes to Decode with only the wire crc32c in
+  // front, so a truncated encoding must be an error, never a shorter
+  // checkpoint. Every field is populated, delta fields included.
+  StateCheckpoint c = MakeCheckpoint(7, 20);
+  c.is_delta = true;
+  c.base_seq = 4;
+  c.deleted_keys = {11, 22};
+  c.buffer_front[4] = 900;
+  serde::Encoder enc;
+  c.Encode(&enc);
+  const std::vector<uint8_t>& bytes = enc.buffer();
+  {
+    serde::Decoder whole(bytes);
+    ASSERT_TRUE(StateCheckpoint::Decode(&whole).ok());
+    EXPECT_TRUE(whole.AtEnd());
+  }
+  for (size_t n = 0; n < bytes.size(); ++n) {
+    serde::Decoder dec(bytes.data(), n);
+    EXPECT_FALSE(StateCheckpoint::Decode(&dec).ok()) << "prefix " << n;
+  }
 }
 
 // ------------------------------------------------ Partition/Merge (Alg. 2)

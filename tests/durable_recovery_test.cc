@@ -156,35 +156,39 @@ TEST(DurableRecoveryTest, TieredSurvivesSingleFailureByteExact) {
   EXPECT_TRUE(log->VerifyIndex().ok());
 }
 
-TEST(DurableRecoveryTest, DeleteBackupChokePointForgetsPartialStreams) {
+TEST(DurableRecoveryTest, DeleteBackupChokePointDropsEveryTierAndTombstones) {
   // Regression for the delete choke point: Cluster::DeleteBackup must drop
-  // the owner's pending chunk streams along with the stored backup, so a
-  // stream completing after retirement cannot resurrect a tombstoned
-  // instance.
+  // the stored backup from memory and from the durable log in one step and
+  // leave a terminal tombstone, so a checkpoint arriving after retirement
+  // cannot resurrect the instance on disk.
   runtime::ClusterConfig config;
   config.backup_durability = BackupDurability::kTiered;
   config.audit_level = 0;
   core::QueryGraph graph;
   runtime::Cluster cluster(&graph, config);
+  ASSERT_NE(cluster.durable_log(), nullptr);
 
-  runtime::CkptChunkHeader header;
-  header.owner = 3;
-  header.owner_op = 1;
-  header.holder = 2;
-  header.seq = 1;
-  header.index = 0;
-  header.count = 2;  // stream stays pending after one chunk
-  header.frame_bytes = 8;
-  const uint8_t chunk[4] = {1, 2, 3, 4};
-  cluster.ckpt_reassembler()->OnChunk(header, chunk, sizeof(chunk));
-  ASSERT_EQ(cluster.ckpt_reassembler()->pending_streams(), 1u);
+  core::StateCheckpoint ckpt;
+  ckpt.op = 1;
+  ckpt.instance = 3;
+  ckpt.seq = 1;
+  ASSERT_TRUE(cluster.backups()->Store(/*owner=*/3, /*holder=*/2, ckpt).ok());
+  ASSERT_TRUE(cluster.backups()->Has(3));
+  ASSERT_TRUE(cluster.durable_log()->Has(3));
 
   cluster.DeleteBackup(3);
-  EXPECT_EQ(cluster.ckpt_reassembler()->pending_streams(), 0u);
   EXPECT_FALSE(cluster.backups()->Has(3));
-  // The durable log now carries a terminal tombstone for the instance.
-  ASSERT_NE(cluster.durable_log(), nullptr);
-  EXPECT_TRUE(cluster.durable_log()->AppendTombstone(3).ok());
+  EXPECT_FALSE(cluster.backups()->LatestSeq(3).has_value());
+  EXPECT_FALSE(cluster.durable_log()->Has(3));
+  // The tombstone is terminal: the log refuses any later record for 3.
+  store::RecordMeta meta;
+  meta.owner = 3;
+  meta.owner_op = 1;
+  meta.holder = 2;
+  meta.seq = 2;
+  const uint8_t payload[4] = {1, 2, 3, 4};
+  EXPECT_FALSE(
+      cluster.durable_log()->Append(meta, payload, sizeof(payload)).ok());
 }
 
 }  // namespace

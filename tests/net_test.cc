@@ -161,7 +161,7 @@ TEST(FrameReaderTest, ReassemblesAcrossEveryChunkBoundary) {
 
 TEST(FrameReaderTest, ByteByByteFeed) {
   Message m;
-  m.type = MessageType::kCheckpointChunk;
+  m.type = MessageType::kCheckpoint;
   m.from_vm = 3;
   m.to_vm = 4;
   m.body = {9, 8, 7, 6, 5};
@@ -187,8 +187,8 @@ TEST(FrameReaderTest, CorruptPayloadIsStickyError) {
 }
 
 TEST(WireTest, RetiredMessageTypeIsRejected) {
-  // Value 3 carried whole checkpoints before they moved to chunk streams;
-  // a message still using it must fail to decode, not alias another type.
+  // Value 3 carried an older checkpoint format; a message still using it
+  // must fail to decode, not alias another type.
   Message m;
   m.type = MessageType::kBatch;
   m.body = {1, 2, 3};

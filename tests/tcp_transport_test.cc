@@ -12,9 +12,13 @@
 #include <string>
 #include <vector>
 
+#include "core/state.h"
 #include "net/local_cluster.h"
+#include "net/wire.h"
+#include "runtime/cluster.h"
 #include "runtime/operator_instance.h"
 #include "runtime/tcp_transport.h"
+#include "serde/encoder.h"
 #include "sps/sps.h"
 #include "verify/invariant_auditor.h"
 #include "workloads/wordcount/wordcount.h"
@@ -216,14 +220,13 @@ TEST(TcpTransportIntegration, DetachMidFlightKeepsPumpAccountingCoherent) {
 }
 
 TEST(TcpTransportIntegration, AsyncPipelineMatchesSimBackend) {
-  // Async checkpointing over TCP: captures serialize after their modeled
-  // delay and frames cross loopback sockets in small chunks. Stable
-  // windows must still match the synchronous sim reference exactly, with
-  // the level-2 auditor (chunk-reassembly included) silent.
+  // Async checkpointing over TCP: captures ship after their modeled
+  // serialization delay, each as one message across loopback sockets.
+  // Stable windows must still match the synchronous sim reference exactly,
+  // with the level-2 auditor silent.
   const WordCountConfig wc = BaseWorkload();
   sps::SpsConfig config = BaseConfig(runtime::TransportKind::kTcp);
   config.cluster.async_checkpoints = true;
-  config.cluster.tcp.checkpoint_chunk_bytes = 4096;
   config.cluster.audit_level = verify::kAuditExpensive;
 
   RunOutcome sim =
@@ -240,12 +243,12 @@ TEST(TcpTransportIntegration, AsyncPipelineMatchesSimBackend) {
   EXPECT_EQ(tcp.audit_violations, 0u);
 }
 
-TEST(TcpTransportIntegration, FailureMidChunkStreamRecoversExactly) {
-  // Hard-kill the stateful counter's VM while checkpoint frames are
-  // streaming in small chunks: sockets die mid-stream, partial chunk
-  // streams must be superseded rather than stored, and recovery from the
-  // last complete backup must stay exactly-once under the full audit. Both
-  // modes take the chunk path on TCP, so both run.
+TEST(TcpTransportIntegration, FailureMidCheckpointRecoversExactly) {
+  // Hard-kill the stateful counter's VM while checkpoints are crossing the
+  // wire: sockets die mid-stream, a checkpoint cut off in flight is never
+  // stored, and recovery from the last complete backup must stay
+  // exactly-once under the full audit. Both modes ship checkpoints as wire
+  // messages on TCP, so both run.
   const WordCountConfig wc = BaseWorkload();
   RunOutcome baseline =
       RunQuery(wc, BaseConfig(runtime::TransportKind::kSim), 150);
@@ -256,7 +259,6 @@ TEST(TcpTransportIntegration, FailureMidChunkStreamRecoversExactly) {
     SCOPED_TRACE(async ? "async" : "sync");
     sps::SpsConfig config = BaseConfig(runtime::TransportKind::kTcp);
     config.cluster.async_checkpoints = async;
-    config.cluster.tcp.checkpoint_chunk_bytes = 4096;
     config.cluster.audit_level = verify::kAuditExpensive;
     RunOutcome with_failure = RunQuery(wc, config, 150, [](sps::Sps& sps) {
       sps.InjectFailure(/*counter op id=*/2, /*at_seconds=*/47);
@@ -269,6 +271,60 @@ TEST(TcpTransportIntegration, FailureMidChunkStreamRecoversExactly) {
       ADD_FAILURE() << "audit violation " << v.invariant << ": " << v.detail;
     }
     EXPECT_EQ(with_failure.audit_violations, 0u);
+  }
+}
+
+TEST(TcpTransportIntegration, MalformedCheckpointBodyIsCountedAndDropped) {
+  // A kCheckpoint body that passes the wire crc32c but does not decode to
+  // exactly one checkpoint must be counted and dropped, never stored, and
+  // the run must carry on. The bogus checkpoint names the real counter and
+  // a seq far ahead of any real one, so storing it would show in the
+  // backup's latest seq. An owner id past 32 bits would alias the real
+  // counter if it were narrowed unchecked.
+  enum class Damage { kTruncated, kTrailingBytes, kOwnerIdOutOfRange };
+  constexpr uint64_t kBogusSeq = 1'000'000;
+  for (const Damage damage : {Damage::kTruncated, Damage::kTrailingBytes,
+                              Damage::kOwnerIdOutOfRange}) {
+    SCOPED_TRACE(static_cast<int>(damage));
+    WordCountQuery query = BuildWordCountQuery(BaseWorkload());
+    auto results = query.results;
+    sps::SpsConfig config = BaseConfig(runtime::TransportKind::kTcp);
+    config.cluster.audit_level = verify::kAuditExpensive;
+    sps::Sps sps(std::move(query.graph), config);
+    ASSERT_TRUE(sps.Deploy().ok());
+    runtime::Cluster& cluster = sps.cluster();
+    const InstanceId owner = cluster.LiveInstancesOf(/*counter=*/2).front();
+    const InstanceId holder = cluster.LiveInstancesOf(/*splitter=*/1).front();
+
+    core::StateCheckpoint ckpt;
+    ckpt.op = 2;
+    ckpt.instance = owner;
+    ckpt.seq = kBogusSeq;
+    serde::Encoder enc;
+    enc.AppendVarint64(damage == Damage::kOwnerIdOutOfRange
+                           ? owner + (uint64_t{1} << 32)
+                           : owner);
+    enc.AppendVarint64(holder);
+    ckpt.Encode(&enc);
+    net::Message msg;
+    msg.type = net::MessageType::kCheckpoint;
+    msg.from_vm = cluster.GetInstance(owner)->vm();
+    msg.to_vm = cluster.GetInstance(holder)->vm();
+    msg.body = enc.buffer();
+    if (damage == Damage::kTruncated) msg.body.pop_back();
+    if (damage == Damage::kTrailingBytes) msg.body.push_back(0);
+    auto* tcp = dynamic_cast<runtime::TcpTransport*>(cluster.transport());
+    ASSERT_NE(tcp, nullptr);
+    ASSERT_EQ(tcp->net_cluster()->Post(msg.from_vm, msg.to_vm, msg),
+              net::SendStatus::kOk);
+    sps.RunFor(40);
+
+    EXPECT_EQ(sps.metrics().ckpt_decode_failures, 1u);
+    // Real checkpoints kept landing; the bogus one never did.
+    const auto stored = cluster.backups()->LatestSeq(owner);
+    ASSERT_TRUE(stored.has_value());
+    EXPECT_LT(*stored, kBogusSeq);
+    EXPECT_FALSE(results->counts.empty());
   }
 }
 

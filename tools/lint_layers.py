@@ -24,9 +24,10 @@ reconfiguration plane and the durable checkpoint store:
     include net/ headers. Everything else reaches the network through
     the runtime::Transport seam, keeping the sim path byte-identical.
   * ckpt-worker-no-net: the checkpoint frame codec (src/runtime/ckpt_*)
-    must not include net/ headers. Frames reach a socket only through
-    TcpTransport; codec code writing sockets directly would bypass both
-    the per-link FIFO the chunk protocol assumes and the audit hooks.
+    must not include net/ headers. Checkpoints reach a socket only
+    through TcpTransport, as one message per checkpoint; codec code
+    writing sockets directly would bypass both the per-link FIFO and the
+    holder-side audit hooks.
   * store-isolation: src/store/ is a storage-engine leaf; it may include
     only serde/ (framing, crc, compression) and common/. The log knows
     bytes and record metadata, never operators, checkpoint objects or
